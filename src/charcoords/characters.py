@@ -256,6 +256,24 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
 
 
 @lru_cache(maxsize=None)
+def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
+    """Support of tau(chi) in Q(zeta_L) as (exponent, coefficient) pairs.
+
+    chi must be primitive and its modulus and order must divide L;
+    exponents are taken modulo x^L - 1 (unreduced), which keeps the
+    Gauss-sum multiplication sparse.
+    """
+    f = chi.modulus
+    m = chi.order
+    acc: dict[int, int] = {}
+    for k in units(f):
+        e = chi.value_exponent(k)
+        idx = ((L // m) * e + (L // f) * k) % L
+        acc[idx] = acc.get(idx, 0) + 1
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
+
+
+@lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> CycElem:
     """tau(chi) = sum_{k=1}^{f} chi(k) zeta_f^k for chi primitive mod f.
 
@@ -265,10 +283,8 @@ def gauss_sum(chi: DirichletCharacter) -> CycElem:
     f = chi.modulus
     if chi.conductor() != f:
         raise ValueError("gauss_sum needs a primitive character")
-    m = chi.order
-    J = math.lcm(f, m)
+    J = math.lcm(f, chi.order)
     vec = [0] * J
-    for k in units(f):
-        e = chi.value_exponent(k)
-        vec[((J // m) * e + (J // f) * k) % J] += 1
-    return CycElem.from_polynomial(J, vec)
+    for i, c in _gauss_support(chi, J):
+        vec[i] = c
+    return CycElem._from_ints(J, vec)

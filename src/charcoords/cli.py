@@ -28,8 +28,8 @@ from .coordinates import (
     coord_power_primitive,
 )
 from .cotangent import cotangent_number, icot_power
-from .cyclotomic import CycElem
-from .series import verify_power_decomposition, verify_stirling_identity
+from .cyclotomic import CycElem, FieldMembershipError
+from .series import TruncationError, verify_power_decomposition, verify_stirling_identity
 from .verify import SuiteConfig, config_with_overrides, run_suites
 
 CONFIG_ENV_VAR = "CHARCOORDS_CONFIG"
@@ -369,6 +369,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (TruncationError, FieldMembershipError) as exc:
+        # internal consistency failures; TruncationError is a ValueError
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -23,9 +23,12 @@ sum used only to cross-check ``complex_eval``, never to adjudicate exact
 results.
 
 Cross-field arithmetic always goes through explicit embeddings into
-Q(zeta_L) with L = lcm(n, m); the definitional path verifies membership of
-the result in Q(zeta_m) instead of assuming it, raising
-FieldMembershipError on any violation (an internal-consistency signal).
+Q(zeta_L) with L = lcm(n, m).  coord_definitional and reconstruct share
+one exact path: integer numerators times a sparse Gauss-sum support in
+Z[x]/(x^L - 1), reduced into a CycElem and projected back through
+project_to_subfield, which verifies membership of the result instead of
+assuming it, raising FieldMembershipError on any violation (an
+internal-consistency signal).
 """
 
 from __future__ import annotations
@@ -38,14 +41,9 @@ from typing import Mapping, Optional
 
 from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
-from .characters import DirichletCharacter, enumerate_characters
+from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
-from .cyclotomic import (
-    CycElem,
-    FieldMembershipError,
-    _reduce_mod_phi,
-    _solve_embedding,
-)
+from .cyclotomic import CycElem, project_to_subfield
 
 _METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
 
@@ -83,32 +81,15 @@ def _galois_cached(a: CycElem, k: int) -> CycElem:
     return a.galois(k)
 
 
-@lru_cache(maxsize=None)
-def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
-    """Support of tau(chi) in Q(zeta_L) as (exponent, coefficient) pairs.
-
-    chi must be primitive; exponents are taken modulo x^L - 1 (unreduced),
-    which keeps the Gauss-sum multiplication sparse.
-    """
-    f = chi.modulus
-    m = chi.order
-    acc: dict[int, int] = {}
-    for k in units(f):
-        e = chi.value_exponent(k)
-        idx = ((L // m) * e + (L // f) * k) % L
-        acc[idx] = acc.get(idx, 0) + 1
-    return tuple(sorted((i, c) for i, c in acc.items() if c))
-
-
-def _project_scaled(vec: list[int], L: int, m: int, scale: Fraction) -> CycElem:
-    """scale * (canonical integer vector in Q(zeta_L)) as an element of
-    Q(zeta_m), verifying subfield membership."""
-    y = _solve_embedding(vec, L, m)
-    if y is None:
-        raise FieldMembershipError(
-            "coordinate does not lie in Q(zeta_%d); this indicates a bug" % m
-        )
-    return CycElem(m, tuple(c * scale for c in y))
+def _add_times_gauss(out: list[int], terms, support, L: int) -> None:
+    """out += (sum of c x^b over terms) * (sum of ct x^t over support),
+    in Z[x]/(x^L - 1); exponents are already reduced modulo L."""
+    for b, c in terms:
+        for t, ct in support:
+            q = b + t
+            if q >= L:
+                q -= L
+            out[q] += c * ct
 
 
 @lru_cache(maxsize=None)
@@ -134,37 +115,25 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     m = chi.order
     L = math.lcm(n, m)
     chibar = chi.conjugate()
-    sigmas = []
-    den = 1
-    for k in units(n):
-        s = _galois_cached(a, k)
-        sigmas.append((chibar.value_exponent(k), s))
-        for c in s.coeffs:
-            den = math.lcm(den, c.denominator)
     stride_n = L // n
     stride_m = L // m
+    # every sigma_k(a) has the denominator of a: the power basis is an
+    # integral basis of Z[zeta_n], which each sigma_k maps onto itself
     vec = [0] * L
-    for e, s in sigmas:
-        base = stride_m * e
-        for i, c in enumerate(s.coeffs):
+    for k in units(n):
+        base = stride_m * chibar.value_exponent(k)
+        for i, c in enumerate(_galois_cached(a, k).nums):
             if c:
                 pos = base + stride_n * i
                 if pos >= L:
                     pos -= L
-                vec[pos] += c.numerator * (den // c.denominator)
+                vec[pos] += c
     chif = chi.primitive_part()
-    f = chif.modulus
     prod = [0] * L
-    for t, ct in _gauss_support(chif, L):
-        for pos, cv in enumerate(vec):
-            if cv:
-                q = pos + t
-                if q >= L:
-                    q -= L
-                prod[q] += cv * ct
-    red = _reduce_mod_phi(prod, L)
-    scale = Fraction(chi.parity(), f * den)
-    return _project_scaled(red, L, m, scale)
+    terms = [(pos, cv) for pos, cv in enumerate(vec) if cv]
+    _add_times_gauss(prod, terms, _gauss_support(chif, L), L)
+    y = project_to_subfield(CycElem._from_ints(L, prod, chif.modulus * a.den), m)
+    return y if chi.parity() == 1 else -y
 
 
 def coord_one(chi: DirichletCharacter) -> CycElem:
@@ -284,31 +253,19 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
     if missing:
         raise ValueError("coordinates missing for %d characters" % len(missing))
     L = n
-    for chi in chars:
-        L = math.lcm(L, coords[chi].order, chi.order)
     den = 1
     for chi in chars:
-        for c in coords[chi].coeffs:
-            den = math.lcm(den, c.denominator)
+        L = math.lcm(L, coords[chi].order, chi.order)
+        den = math.lcm(den, coords[chi].den)
     vec = [0] * L
     for chi in chars:
         y = coords[chi]
-        if y.is_zero:
-            continue
-        taubar = chi.conjugate().primitive_part()
-        support = _gauss_support(taubar, L)
         stride = L // y.order
-        for i, c in enumerate(y.coeffs):
-            if c:
-                ci = c.numerator * (den // c.denominator)
-                base = stride * i
-                for t, ct in support:
-                    q = base + t
-                    if q >= L:
-                        q -= L
-                    vec[q] += ci * ct
-    red = _reduce_mod_phi(vec, L)
-    return _project_scaled(red, L, n, Fraction(1, euler_phi(n) * den))
+        scale = den // y.den
+        terms = [(stride * i, c * scale) for i, c in enumerate(y.nums) if c]
+        taubar = chi.conjugate().primitive_part()
+        _add_times_gauss(vec, terms, _gauss_support(taubar, L), L)
+    return project_to_subfield(CycElem._from_ints(L, vec, euler_phi(n) * den), n)
 
 
 def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):

@@ -1,10 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 An element is stored as the canonical residue of a polynomial in zeta_N
-modulo the N-th cyclotomic polynomial Phi_N: a vector of phi(N) rationals,
-the coefficients of 1, zeta_N, ..., zeta_N^(phi(N)-1).  The residue is
-unique, so structural equality of coefficient vectors is equality of field
-elements.  All values are immutable and every operation is a pure function.
+modulo the N-th cyclotomic polynomial Phi_N: phi(N) integer numerators of
+1, zeta_N, ..., zeta_N^(phi(N)-1) over one positive denominator, in lowest
+terms; the rational coefficients are derived.  The residue is unique, so
+structural equality is equality of field elements.  All values are
+immutable and every operation is a pure function.
 
 Orders are never coerced silently: combining two CycElem values of
 different orders raises; use :func:`to_common_order` (which embeds both
@@ -81,10 +82,10 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_phi(coeffs: Sequence, N: int) -> list:
-    """Reduce a coefficient list (ints or Fractions) modulo Phi_N.
+def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
+    """Reduce an integer coefficient list modulo Phi_N (monic, integral).
 
-    Accepts any length; returns a list of length exactly phi(N).
+    Accepts any length; returns an int list of length exactly phi(N).
     """
     phi = cyclotomic_polynomial(N)
     d = len(phi) - 1
@@ -125,8 +126,9 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return q, num
 
 
-def _poly_inverse_mod_phi(res: Sequence[Fraction], N: int) -> list[Fraction]:
-    """Inverse of a residue modulo Phi_N by the extended Euclidean algorithm."""
+def _poly_inverse_mod_phi(res: Sequence[int], N: int) -> list[Fraction]:
+    """Inverse of a residue modulo Phi_N by the extended Euclidean algorithm,
+    as rational coefficients of degree below phi(N)."""
     r0 = [Fraction(c) for c in cyclotomic_polynomial(N)]
     r1 = [Fraction(c) for c in res]
     while r1 and not r1[-1]:
@@ -151,7 +153,7 @@ def _poly_inverse_mod_phi(res: Sequence[Fraction], N: int) -> list[Fraction]:
         r0, r1 = r1, rem
         u0, u1 = u1, nxt
     g = r1[0]  # nonzero constant: Phi_N is irreducible over Q
-    return _reduce_mod_phi([c / g for c in u1], N)
+    return [c / g for c in u1]
 
 
 def _scaled_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -193,7 +195,8 @@ def _mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 @lru_cache(maxsize=None)
 def _embedding_solver(L: int, m: int):
-    """Pivot rows and inverted pivot submatrix for the general projection."""
+    """Pivot rows and inverted pivot submatrix (integers over one common
+    denominator) for the general projection."""
     dm, dL = euler_phi(m), euler_phi(L)
     stride = L // m
     cols = []
@@ -218,81 +221,93 @@ def _embedding_solver(L: int, m: int):
     if len(chosen) < dm:
         raise ArithmeticError("embedding basis unexpectedly dependent")
     m0 = [[Fraction(cols[j][i]) for j in range(dm)] for i in chosen]
-    return tuple(cols), tuple(chosen), tuple(tuple(r) for r in _mat_inv(m0))
+    flat, inv_den = _scaled_ints([c for row in _mat_inv(m0) for c in row])
+    inv_nums = tuple(tuple(flat[a * dm:(a + 1) * dm]) for a in range(dm))
+    return tuple(cols), tuple(chosen), inv_nums, inv_den
 
 
 def _solve_embedding(vec: Sequence[int], L: int, m: int):
     """Find y in Q(zeta_m) with embed(y, L) equal to the canonical integer
-    vector ``vec``, or None if no such y exists."""
-    dm, dL = euler_phi(m), euler_phi(L)
-    if not any(vec):
-        return [Fraction(0)] * dm
+    vector ``vec``, as (integer numerators, denominator), or None if no
+    such y exists."""
     exps = _embedding_monomials(L, m)
     if exps is not None:
         support = set(exps)
-        if any(vec[i] for i in range(dL) if i not in support):
+        if any(c for i, c in enumerate(vec) if i not in support):
             return None
-        return [Fraction(vec[e]) for e in exps]
-    cols, rows, inv = _embedding_solver(L, m)
+        return [vec[e] for e in exps], 1
+    cols, rows, inv, den = _embedding_solver(L, m)
     t = [vec[i] for i in rows]
-    y = [sum((inv[a][b] * t[b] for b in range(dm)), Fraction(0)) for a in range(dm)]
-    den = 1
-    for c in y:
-        den = math.lcm(den, c.denominator)
-    nums = [c.numerator * (den // c.denominator) for c in y]
-    for i in range(dL):
-        s = 0
-        for j in range(dm):
-            cj = cols[j][i]
-            if cj:
-                s += nums[j] * cj
-        if s != den * vec[i]:
+    nums = [sum(a * b for a, b in zip(row, t)) for row in inv]
+    for i, c in enumerate(vec):
+        if sum(y * col[i] for y, col in zip(nums, cols) if col[i]) != den * c:
             return None
-    return y
+    return nums, den
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycElem:
     """An element of Q(zeta_N) in canonical residue form.
 
-    ``coeffs`` has length exactly phi(N) and lists the coefficients of
-    ascending powers of zeta_N.  Instances are immutable and hashable.
+    The element is sum(nums[i] * zeta_N^i) / den with exactly phi(N) ints
+    ``nums`` and den > 0, gcd(den, *nums) = 1; ``coeffs`` derives the
+    rational coefficients.  Instances are immutable and hashable.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, coeffs: Iterable[Scalar]):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != euler_phi(self.order):
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        if len(coeffs) != euler_phi(order):
             raise ValueError(
                 "need exactly phi(%d) = %d coefficients, got %d"
-                % (self.order, euler_phi(self.order), len(coeffs))
+                % (order, euler_phi(order), len(coeffs))
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(order, *_scaled_ints(coeffs))
+
+    def _set(self, order: int, ints: Sequence[int], den: int) -> None:
+        """Store ints/den, for den > 0, as a reduced residue in lowest terms."""
+        if len(ints) != euler_phi(order):
+            ints = _reduce_mod_phi(ints, order)
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", tuple(ints))
+        object.__setattr__(self, "den", den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_ints(cls, order: int, ints: Sequence[int], den: int = 1) -> "CycElem":
+        """sum(ints[i] * zeta_N^i) / den for any length of ints, den > 0."""
+        self = object.__new__(cls)
+        self._set(order, ints, den)
+        return self
+
+    @classmethod
     def from_polynomial(cls, order: int, coeffs: Iterable[Scalar]) -> "CycElem":
         """Element given by an arbitrary polynomial in zeta_N (any length)."""
-        return cls(order, tuple(_reduce_mod_phi([Fraction(c) for c in coeffs], order)))
+        return cls._from_ints(order, *_scaled_ints([Fraction(c) for c in coeffs]))
 
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> "CycElem":
-        v = [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1)
-        return cls(order, tuple(v))
+        q = Fraction(value)
+        return cls._from_ints(order, [q.numerator], q.denominator)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycElem":
         """zeta_N^power."""
         power %= order
-        return cls.from_polynomial(order, [0] * power + [1])
+        return cls._from_ints(order, [0] * power + [1])
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycElem":
@@ -302,20 +317,25 @@ class CycElem:
     def one(cls, order: int = 1) -> "CycElem":
         return cls.from_rational(1, order)
 
-    # -- predicates --------------------------------------------------------
+    # -- views and predicates ------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients of 1, zeta_N, ..., zeta_N^(phi(N)-1)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -335,43 +355,43 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        g = math.gcd(self.den, o.den)
+        sa, sb = o.den // g, self.den // g
+        v = [a * sa + b * sb for a, b in zip(self.nums, o.nums)]
+        return CycElem._from_ints(self.order, v, self.den * sa)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (CycElem, int, Fraction)):
             return NotImplemented
-        return CycElem(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o - self
+        return -self + other
 
     def __neg__(self):
-        return CycElem(self.order, tuple(-c for c in self.coeffs))
+        return CycElem._from_ints(self.order, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElem(self.order, tuple(c * q for c in self.coeffs))
+            p = other.numerator
+            return CycElem._from_ints(
+                self.order, [c * p for c in self.nums], self.den * other.denominator
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, da = _scaled_ints(self.coeffs)
-        b, db = _scaled_ints(o.coeffs)
+        a, b = self.nums, o.nums
         prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        red = _reduce_mod_phi(prod, self.order)
-        den = da * db
-        return CycElem(self.order, tuple(Fraction(c, den) for c in red))
+        return CycElem._from_ints(self.order, prod, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -406,7 +426,8 @@ class CycElem:
         against Phi_N over the rationals."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return CycElem(self.order, tuple(_poly_inverse_mod_phi(self.coeffs, self.order)))
+        inv = CycElem.from_polynomial(self.order, _poly_inverse_mod_phi(self.nums, self.order))
+        return inv * self.den
 
     # -- field maps --------------------------------------------------------
 
@@ -418,11 +439,11 @@ class CycElem:
             raise ValueError("galois exponent %d is not coprime to %d" % (k, N))
         if k == 1 or N == 1:
             return self
-        v = [Fraction(0)] * N
-        for i, c in enumerate(self.coeffs):
+        v = [0] * N
+        for i, c in enumerate(self.nums):
             if c:
                 v[(i * k) % N] += c
-        return CycElem(N, tuple(_reduce_mod_phi(v, N)))
+        return CycElem._from_ints(N, v, self.den)
 
     def conjugate(self) -> "CycElem":
         """Complex conjugation; equals galois(N-1) for N >= 3."""
@@ -438,10 +459,9 @@ class CycElem:
         if M == N:
             return self
         stride = M // N
-        v = [Fraction(0)] * ((len(self.coeffs) - 1) * stride + 1)
-        for i, c in enumerate(self.coeffs):
-            v[i * stride] = c
-        return CycElem(M, tuple(_reduce_mod_phi(v, M)))
+        v = [0] * ((len(self.nums) - 1) * stride + 1)
+        v[::stride] = self.nums
+        return CycElem._from_ints(M, v, self.den)
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -457,8 +477,8 @@ class CycElem:
         if precision <= 53:
             root = cmath.exp(2j * math.pi / self.order)
             acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * root + complex(c.numerator / c.denominator)
+            for c in reversed(self.nums):
+                acc = acc * root + complex(c / self.den)  # int/int rounds exactly once
             return acc
         import mpmath
 
@@ -500,8 +520,8 @@ def project_to_subfield(a: CycElem, m: int) -> CycElem:
         raise ValueError("%d does not divide the order %d" % (m, L))
     if m == L:
         return a
-    ints, den = _scaled_ints(a.coeffs)
-    y = _solve_embedding(ints, L, m)
+    y = _solve_embedding(a.nums, L, m)
     if y is None:
         raise FieldMembershipError("value does not lie in Q(zeta_%d)" % m)
-    return CycElem(m, tuple(c / den for c in y))
+    nums, den = y
+    return CycElem._from_ints(m, nums, den * a.den)

@@ -143,6 +143,20 @@ def test_gauss_sum_conjugate_product():
             assert prod == CycElem.from_rational(chi.parity() * f, prod.order)
 
 
+def test_gauss_sum_matches_defining_sum():
+    # tau(chi) = sum over k of chi(k) zeta_f^k, summed in Q(zeta_lcm(f, m)),
+    # for every primitive character of conductor f <= 30
+    for f in range(3, 31):
+        for chi in enumerate_characters(f):
+            if chi.conductor() != f:
+                continue
+            J = math.lcm(f, chi.order)
+            total = CycElem.zero(J)
+            for k in units(f):
+                total = total + chi.eval(k).embed(J) * CycElem.zeta(f, k).embed(J)
+            assert gauss_sum(chi) == total
+
+
 def test_mod8_group_convention():
     g = character_group(8)
     assert [c.prime_power for c in g.components] == [8, 8]

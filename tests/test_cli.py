@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from charcoords import cli
 from charcoords.cli import main
-from charcoords.cyclotomic import CycElem
+from charcoords.cyclotomic import CycElem, FieldMembershipError
+from charcoords.series import TruncationError
 
 
 def run_cli(capsys, *argv):
@@ -193,3 +195,19 @@ def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["coeffs", "q", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [TruncationError("truncation exceeded"), FieldMembershipError("not in the subfield")],
+)
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(chi, a):
+        raise exc
+
+    monkeypatch.setattr(cli, "coord_definitional", broken)
+    code, out, err = run_cli(capsys, "coord", "5", "1", "3", "--method", "def")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: %s\n" % exc
+    assert "Traceback" not in err

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcoords.arith import euler_phi, units
 from charcoords.characters import enumerate_characters, gauss_sum
@@ -196,3 +198,32 @@ def test_coord_report():
     assert chi.order % data["value"]["order"] == 0
     with pytest.raises(ValueError):
         CoordReport(4, 1, 1, "bogus", value)
+
+
+# moduli with imprimitive characters (8, 12, 15) and complex ones (5, 8, 15)
+dense_moduli = st.sampled_from([5, 8, 12, 15])
+mixed_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def dense_elements(draw, n):
+    return CycElem(n, draw(st.lists(mixed_fraction, min_size=euler_phi(n), max_size=euler_phi(n))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dense_moduli.flatmap(dense_elements))
+def test_reconstruct_round_trip_dense(a):
+    coords = {chi: coord_definitional(chi, a) for chi in enumerate_characters(a.order)}
+    assert reconstruct(coords, a.order) == a
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dense_moduli.flatmap(lambda n: st.tuples(dense_elements(n), dense_elements(n))),
+    mixed_fraction,
+)
+def test_definitional_is_linear_dense(pair, q):
+    a, b = pair
+    for chi in enumerate_characters(a.order):
+        lhs = coord_definitional(chi, a + b * q)
+        assert lhs == coord_definitional(chi, a) + coord_definitional(chi, b) * q

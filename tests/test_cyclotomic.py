@@ -241,3 +241,47 @@ def test_projection_round_trip(orders, data):
     m, L = orders
     y = data.draw(elements(order=m))
     assert project_to_subfield(y.embed(L), m) == y
+
+
+def _assert_lowest_terms(x):
+    assert len(x.nums) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.nums)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+
+
+def test_storage_examples():
+    a = CycElem(4, ("2/4", "6/8"))
+    assert (a.nums, a.den) == ((2, 3), 4)
+    assert a.coeffs == (F(1, 2), F(3, 4))
+    even = CycElem._from_ints(4, [2, 4], 6)
+    assert (even.nums, even.den) == ((1, 2), 3)
+    zero = CycElem._from_ints(5, [0, 0, 0, 0, 0, 0], 7)
+    assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero == CycElem.zero(5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_storage_is_canonical(pair):
+    a, b = pair
+    n = a.order
+    phi_n = cyclotomic_polynomial(n)
+    # a + (x^2 + 3) * Phi_n, a polynomial longer than phi(n)
+    longer = list(a.coeffs) + [0] * 3
+    for i, q in enumerate(phi_n):
+        longer[i] += 3 * q
+        longer[i + 2] += q
+    ways = [
+        CycElem(n, ["%d/%d" % (2 * c.numerator, 2 * c.denominator) for c in a.coeffs]),
+        CycElem._from_ints(n, [6 * c for c in a.nums], 6 * a.den),
+        CycElem.from_polynomial(n, longer),
+        CycElem.from_json_dict(a.to_json_dict()),
+    ]
+    if not b.is_zero:
+        ways.append((a * b) * b.inverse())
+    _assert_lowest_terms(a)
+    for x in ways:
+        _assert_lowest_terms(x)
+        assert (x.order, x.nums, x.den) == (a.order, a.nums, a.den)
+        assert x == a and hash(x) == hash(a)
