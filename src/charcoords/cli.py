@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .bernoulli import bernoulli_number, generalized_bernoulli
@@ -285,7 +286,14 @@ def _cmd_verify(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of the CLI.
+
+    Built once per process and shared by every call of :func:`main`, so a
+    long-lived caller does not rebuild it per request; treat it as
+    read-only.
+    """
     parser = argparse.ArgumentParser(
         prog="charcoords",
         description="Exact character coordinates of cotangent powers in cyclotomic fields",
@@ -365,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TruncationError, FieldMembershipError) as exc:

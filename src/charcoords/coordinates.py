@@ -33,7 +33,9 @@ internal-consistency signal).
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +45,7 @@ from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
-from .cyclotomic import CycElem, project_to_subfield
+from .cyclotomic import _KRONECKER_MIN, CycElem, _cyclic_mul, project_to_subfield
 
 _METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
 
@@ -84,6 +86,14 @@ def _galois_cached(a: CycElem, k: int) -> CycElem:
 def _add_times_gauss(out: list[int], terms, support, L: int) -> None:
     """out += (sum of c x^b over terms) * (sum of ct x^t over support),
     in Z[x]/(x^L - 1); exponents are already reduced modulo L."""
+    if min(len(terms), len(support)) >= _KRONECKER_MIN:
+        a, g = [0] * L, [0] * L
+        for b, c in terms:
+            a[b] += c
+        for t, ct in support:
+            g[t] += ct
+        out[:] = map(operator.add, out, _cyclic_mul(a, g, L))
+        return
     for b, c in terms:
         for t, ct in support:
             q = b + t
@@ -153,10 +163,7 @@ def _euler_factor_product(chi_f: DirichletCharacter, n: int, power: int) -> CycE
     chibar_f = chi_f.conjugate()
     total = CycElem.one(m)
     for p in sorted(prime_factors(n)):
-        e = chibar_f.value_exponent(p)
-        if e is None:
-            continue
-        total = total * (CycElem.one(m) - CycElem.zeta(m, e) * Fraction(1, p**power))
+        total = total * (CycElem.one(m) - chibar_f.eval(p) * Fraction(1, p**power))
     return total
 
 
@@ -278,10 +285,12 @@ def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):
     if r < 1:
         raise ValueError("need r >= 1")
     n = chi.modulus
+    m = chi.order
+    # chi(k) = zeta_m^e on the units, the only k summed; it is zero elsewhere
     if precision <= 53:
         total = 0j
         for k in units(n):
-            z = chi.eval(k).complex_eval(precision)
+            z = cmath.exp(2j * math.pi * chi.value_exponent(k) / m)
             total += z * (1j / math.tan(math.pi * k / n)) ** r
         return total
     import mpmath
@@ -289,6 +298,6 @@ def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):
     with mpmath.workprec(precision + 10):
         total = mpmath.mpc(0)
         for k in units(n):
-            z = chi.eval(k).complex_eval(precision)
+            z = mpmath.expjpi(mpmath.mpf(2 * chi.value_exponent(k)) / m)
             total += z * (1j * mpmath.cot(mpmath.pi * k / n)) ** r
         return total

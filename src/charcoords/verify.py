@@ -12,6 +12,7 @@ carries the inputs needed to reproduce it from the CLI.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -357,4 +358,14 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
                 parts = [p.strip() for p in value.split(",") if p.strip()]
                 value = tuple(int(p) if p.isdigit() else p for p in parts)
         coerced[key] = value
-    return replace(cfg, **coerced)
+    cfg = replace(cfg, **coerced)
+    # a tolerance of inf, nan or <= 0 makes every float case pass or fail,
+    # and a negative range checks nothing, whatever the code computes
+    tol = cfg.float_tolerance
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("float_tolerance must be finite and positive, got %r" % tol)
+    for f in fields(SuiteConfig):
+        value = getattr(cfg, f.name)
+        if type(value) is int and value < 0:
+            raise ValueError("%s must not be negative, got %d" % (f.name, value))
+    return cfg

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,40 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert out == ""
     assert err == "internal error: %s\n" % exc
     assert "Traceback" not in err
+
+
+def test_main_twice_in_one_process(capsys):
+    argv = ("coord", "7", "1", "3", "--method", "def", "--format", "json")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first == second
+
+
+# generated by the CLI before the big-integer kernels went in; the
+# character mod 46 has order 11 and takes the general embedding solver
+GOLDEN = {
+    "coord_47_5_3_def.json": ("coord", "47", "5", "3", "--method", "def"),
+    "cot_47_power_3.json": ("cot", "47", "--power", "3"),
+    "coord_46_2_4_def.json": ("coord", "46", "2", "4", "--method", "def"),
+    "coord_49_1_3_def.json": ("coord", "49", "1", "3", "--method", "def"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_json_output(capsys, name):
+    code, out, _ = run_cli(capsys, *GOLDEN[name], "--format", "json")
+    assert code == 0
+    expected = (Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--n-max", "-1")],
+)
+def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
+    code, out, err = run_cli(capsys, "verify", "coeff_bridge", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

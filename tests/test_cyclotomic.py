@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charcoords import cyclotomic
 from charcoords.arith import euler_phi
+from charcoords.coordinates import _add_times_gauss
 from charcoords.cyclotomic import (
     CycElem,
     FieldMembershipError,
@@ -285,3 +288,110 @@ def test_storage_is_canonical(pair):
         _assert_lowest_terms(x)
         assert (x.order, x.nums, x.den) == (a.order, a.nums, a.den)
         assert x == a and hash(x) == hash(a)
+
+
+# -- big-integer (Kronecker) kernels against the schoolbook loops -------------
+
+# Phi_105 has the coefficient -2; 2162 = lcm(47, 46) is the largest common
+# field of the default float sweep
+KERNEL_ORDERS = (1, 2, 12, 105, 506, 2162)
+LENGTHS = ("below_phi", "phi", "up_to_n", "above_n", "at_least_2n")
+
+
+@st.composite
+def int_vectors(draw, length):
+    """A reproducible int vector: zero, sparse or dense, with entries of up
+    to 200 bits, of mixed signs or all at the largest size with one sign
+    (which meets the coefficient bounds of a product with equality)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.sampled_from((1, 8, 63, 64, 65, 200)))
+    density = draw(st.sampled_from((0.0, 0.1, 1.0)))
+    sign = draw(st.sampled_from((0, 1, -1)))
+    return [
+        (sign * 2**bits if sign else rng.randint(-(2**bits), 2**bits))
+        if rng.random() < density
+        else 0
+        for _ in range(length)
+    ]
+
+
+@st.composite
+def reduction_inputs(draw):
+    N = draw(st.sampled_from(KERNEL_ORDERS))
+    d = euler_phi(N)
+    kind = draw(st.sampled_from(LENGTHS))
+    lo, hi = {
+        "below_phi": (0, d - 1),
+        "phi": (d, d),
+        "up_to_n": (d, N),
+        "above_n": (N + 1, 2 * N),
+        "at_least_2n": (2 * N, 3 * N),
+    }[kind]
+    return N, draw(int_vectors(draw(st.integers(lo, hi))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduction_inputs())
+def test_kronecker_reduce_matches_schoolbook(case):
+    N, v = case
+    expected = cyclotomic._schoolbook_reduce(v, N)
+    assert len(expected) == euler_phi(N)
+    assert cyclotomic._kronecker_reduce(v, None, N) == expected
+    assert cyclotomic._reduce_mod_phi(v, N) == expected
+
+
+@st.composite
+def product_inputs(draw):
+    N = draw(st.sampled_from(KERNEL_ORDERS))
+    d = euler_phi(N)
+    return N, draw(int_vectors(d)), draw(int_vectors(d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_inputs())
+def test_kronecker_mul_matches_schoolbook(case):
+    # phi(N) < _KRONECKER_MIN for N = 1, 2, 12: CycElem.__mul__ stays on
+    # the schoolbook side there and takes the kernel for the others
+    N, a, b = case
+    expected = cyclotomic._schoolbook_reduce(cyclotomic._schoolbook_mul(a, b), N)
+    assert cyclotomic._kronecker_reduce(a, b, N) == expected
+    x, y = CycElem._from_ints(N, a, 3), CycElem._from_ints(N, b, 5)
+    assert x * y == CycElem._from_ints(N, expected, 15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((1, 2, 12, 105, 506)),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.data(),
+)
+def test_cyclic_products_match_schoolbook(N, na, nb, data):
+    """_cyclic_mul and _add_times_gauss on sparse operands of up to 30 terms,
+    on both sides of the cutoff."""
+    a = data.draw(int_vectors(na))
+    b = data.draw(int_vectors(nb))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    terms = [(rng.randrange(N), c) for c in a]
+    support = [(rng.randrange(N), c) for c in b]
+    expected = [0] * N
+    for i, c in terms:
+        for j, e in support:
+            expected[(i + j) % N] += c * e
+    dense_a, dense_b = [0] * N, [0] * N
+    for i, c in terms:
+        dense_a[i] += c
+    for j, e in support:
+        dense_b[j] += e
+    assert cyclotomic._cyclic_mul(dense_a, dense_b, N) == expected
+    out = list(range(N))
+    _add_times_gauss(out, terms, support, N)
+    assert out == [k + c for k, c in enumerate(expected)]
+
+
+def test_cofactor_times_phi_is_x_to_the_n_minus_1():
+    for N in KERNEL_ORDERS + (30, 64, 210):
+        psi, gain = cyclotomic._cofactor(N)
+        assert psi[-1] == 1 and gain >= 1
+        prod = cyclotomic._schoolbook_mul(psi, cyclotomic_polynomial(N))
+        assert prod == [-1] + [0] * (N - 1) + [1]

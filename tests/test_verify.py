@@ -67,6 +67,22 @@ def test_config_overrides_coerce_strings():
         config_with_overrides(bogus_key="1")
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"float_tolerance": float("inf")},
+        {"float_tolerance": float("nan")},
+        {"float_tolerance": 0.0},
+        {"float_tolerance": "-1"},
+        {"n_max": -1},
+        {"recon_r_max": "-1"},
+    ],
+)
+def test_config_rejects_checks_that_cannot_fail(override):
+    with pytest.raises(ValueError):
+        config_with_overrides(MINI, **override)
+
+
 def test_result_json_shape():
     cfg = config_with_overrides(MINI, suites=("coeff_bridge",))
     data = run_suites(cfg)[0].to_json_dict()
