@@ -69,12 +69,26 @@ def bernoulli_polynomial(r: int) -> BernoulliPolynomial:
     return BernoulliPolynomial(r, tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
+def _scaled_bernoulli_ints(r: int, f: int) -> tuple[tuple[int, ...], int]:
+    """(h, D): D = lcm of the denominators of B_r(x), and h the integer
+    coefficients of D * f^r * B_r(x/f), highest power first."""
+    coeffs = bernoulli_polynomial(r).coeffs
+    D = math.lcm(*(c.denominator for c in coeffs))
+    h = tuple(
+        c.numerator * (D // c.denominator) * f ** (r - i) for i, c in enumerate(coeffs)
+    )
+    return h[::-1], D
+
+
 def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
     """B_{r,chi} = f^(r-1) * sum_{k=1}^{f} B_r(k/f) chi(k), chi primitive mod f.
 
     The value lies in Q(zeta_m) for m the order of chi and is rational for
     real characters.  Imprimitive characters are rejected; coordinate
     formulas route through primitive_part plus Euler factors instead.
+    The sum runs in integers over the one denominator f * D, with
+    D * f^r * B_r(k/f) evaluated as an integer polynomial in k.
     """
     if r < 1:
         raise ValueError("generalized_bernoulli needs r >= 1")
@@ -82,8 +96,11 @@ def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
     if chi.conductor() != f:
         raise ValueError("generalized_bernoulli needs a primitive character")
     m = chi.order
-    poly = bernoulli_polynomial(r)
-    acc = [Fraction(0)] * m
+    h, D = _scaled_bernoulli_ints(r, f)
+    acc = [0] * m
     for k in units(f):
-        acc[chi.value_exponent(k)] += poly(Fraction(k, f))
-    return CycElem.from_polynomial(m, acc) * Fraction(f) ** (r - 1)
+        v = 0
+        for c in h:
+            v = v * k + c
+        acc[chi.value_exponent(k)] += v
+    return CycElem._from_ints(m, acc, f * D)

@@ -84,6 +84,8 @@ class CharacterGroup:
                 comps.append(CrtComponent(q, g, euler_phi(q), _crt_lift(g, q, modulus)))
         self.components = tuple(comps)
         self._log_table: dict[int, tuple[int, ...]] | None = None
+        self._value_tables: dict[tuple[int, ...], tuple[int | None, ...]] = {}
+        self._conjugates: dict[tuple[int, ...], DirichletCharacter] = {}
 
     @property
     def log_table(self) -> dict[int, tuple[int, ...]]:
@@ -99,6 +101,20 @@ class CharacterGroup:
                 raise ArithmeticError("generators do not generate (Z/%d)*" % self.modulus)
             self._log_table = table
         return self._log_table
+
+    def value_table(self, chi: "DirichletCharacter") -> tuple[int | None, ...]:
+        """Residue k mod n -> e with chi(k) = zeta_m^e, None off the units.
+
+        Built from log_table once per exponent vector and shared by every
+        instance of that character (each enumeration, each conjugate).
+        """
+        table = self._value_tables.get(chi.exponents)
+        if table is None:
+            values: list[int | None] = [None] * self.modulus
+            for u, t in self.log_table.items():
+                values[u] = sum(w * ti for w, ti in zip(chi._weights, t)) % chi.order
+            table = self._value_tables.setdefault(chi.exponents, tuple(values))
+        return table
 
     def __eq__(self, other):
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus
@@ -140,8 +156,10 @@ class DirichletCharacter:
             (e * m) // comp.order
             for comp, e in zip(group.components, self.exponents)
         )
+        self._values: tuple[int | None, ...] | None = None
         self._conductor: int | None = None
         self._primitive: DirichletCharacter | None = None
+        self._conjugate: DirichletCharacter | None = None
 
     # value_order is a synonym: values generate Q(zeta_order)
     @property
@@ -166,10 +184,9 @@ class DirichletCharacter:
 
     def value_exponent(self, k: int):
         """e with chi(k) = zeta_m^e, or None when gcd(k, n) > 1."""
-        t = self.group.log_table.get(k % self.modulus)
-        if t is None:
-            return None
-        return sum(w * ti for w, ti in zip(self._weights, t)) % self.order
+        if self._values is None:
+            self._values = self.group.value_table(self)
+        return self._values[k % self.modulus]
 
     def eval(self, k: int) -> CycElem:
         """chi(k) as an exact element of Q(zeta_m); zero off the units."""
@@ -189,7 +206,12 @@ class DirichletCharacter:
 
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character (negated exponent vector)."""
-        return DirichletCharacter(self.group, tuple(-e for e in self.exponents))
+        if self._conjugate is None:
+            # one conjugate instance per character of the group, however
+            # many instances ask: memoized values stay alive with it
+            bar = DirichletCharacter(self.group, tuple(-e for e in self.exponents))
+            self._conjugate = self.group._conjugates.setdefault(bar.exponents, bar)
+        return self._conjugate
 
     def conductor(self) -> int:
         """Smallest f | n with chi trivial on units congruent to 1 mod f."""

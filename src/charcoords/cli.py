@@ -149,6 +149,8 @@ def _cmd_coord(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     if args.kind == "check":
+        if args.r < 1:
+            raise ValueError("coeffs check needs r >= 1, got %d" % args.r)
         cfg = SuiteConfig(suites=("coeff_bridge",), bridge_r_max=args.r)
         result = run_suites(cfg)[0]
         print("coeff_bridge: %d cases, %d failures" % (result.cases, len(result.failures)))
@@ -209,6 +211,11 @@ def _cmd_series(args) -> int:
     if args.action != "verify":
         raise ValueError("unknown series action %r" % args.action)
     run_all = not (args.prop_decomposition or args.stirling)
+    # a selected identity with an empty range would check nothing
+    if (args.stirling or run_all) and args.kmax < 1:
+        raise ValueError("--kmax must be >= 1, got %d" % args.kmax)
+    if (args.prop_decomposition or run_all) and args.rmax < 1:
+        raise ValueError("--rmax must be >= 1, got %d" % args.rmax)
     ok = True
     if args.stirling or run_all:
         for k in range(1, args.kmax + 1):

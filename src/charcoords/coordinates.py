@@ -83,23 +83,37 @@ def _galois_cached(a: CycElem, k: int) -> CycElem:
     return a.galois(k)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_cached(r: int, chi: DirichletCharacter) -> CycElem:
+    return generalized_bernoulli(r, chi)
+
+
+def _times_gauss(vec: list[int], support, L: int) -> list[int]:
+    """vec * (sum of ct x^t over support) in Z[x]/(x^L - 1), as L ints;
+    vec is dense of length L, support exponents are reduced modulo L."""
+    if min(L - vec.count(0), len(support)) >= _KRONECKER_MIN:
+        g = [0] * L
+        for t, ct in support:
+            g[t] += ct
+        return _cyclic_mul(vec, g, L)
+    out = [0] * L
+    for b, c in enumerate(vec):
+        if c:
+            for t, ct in support:
+                q = b + t
+                if q >= L:
+                    q -= L
+                out[q] += c * ct
+    return out
+
+
 def _add_times_gauss(out: list[int], terms, support, L: int) -> None:
     """out += (sum of c x^b over terms) * (sum of ct x^t over support),
     in Z[x]/(x^L - 1); exponents are already reduced modulo L."""
-    if min(len(terms), len(support)) >= _KRONECKER_MIN:
-        a, g = [0] * L, [0] * L
-        for b, c in terms:
-            a[b] += c
-        for t, ct in support:
-            g[t] += ct
-        out[:] = map(operator.add, out, _cyclic_mul(a, g, L))
-        return
+    a = [0] * L
     for b, c in terms:
-        for t, ct in support:
-            q = b + t
-            if q >= L:
-                q -= L
-            out[q] += c * ct
+        a[b] += c
+    out[:] = map(operator.add, out, _times_gauss(a, support, L))
 
 
 @lru_cache(maxsize=None)
@@ -139,9 +153,7 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
                     pos -= L
                 vec[pos] += c
     chif = chi.primitive_part()
-    prod = [0] * L
-    terms = [(pos, cv) for pos, cv in enumerate(vec) if cv]
-    _add_times_gauss(prod, terms, _gauss_support(chif, L), L)
+    prod = _times_gauss(vec, _gauss_support(chif, L), L)
     y = project_to_subfield(CycElem._from_ints(L, prod, chif.modulus * a.den), m)
     return y if chi.parity() == 1 else -y
 
@@ -192,7 +204,7 @@ def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     scalar = Fraction(chi.parity() * (2 * n) ** j, j * f**j)
     return (
         _euler_factor_product(chif, n, j)
-        * generalized_bernoulli(j, chif)
+        * _bernoulli_cached(j, chif)
         * scalar
     )
 
@@ -240,7 +252,7 @@ def coord_power_primitive(chi: DirichletCharacter, r: int) -> CycElem:
         if (r - j) % 2 == 0:
             d = bernoulli_conv_coeff(r, j)
             if d:
-                total = total + generalized_bernoulli(j, chi) * (
+                total = total + _bernoulli_cached(j, chi) * (
                     d / math.factorial(j)
                 )
     return total * Fraction(-(2**r))

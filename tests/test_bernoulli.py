@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from charcoords import coordinates
+from charcoords.arith import units
 from charcoords.bernoulli import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -81,3 +83,39 @@ def test_generalized_bernoulli_rejects_imprimitive():
     assert imprim.conductor() == 4
     with pytest.raises(ValueError):
         generalized_bernoulli(1, imprim)
+
+
+def _primitive_characters(f_max):
+    yield enumerate_characters(2)[0].primitive_part()  # conductor 1
+    for f in range(3, f_max + 1):
+        for chi in enumerate_characters(f):
+            if chi.conductor() == f:
+                yield chi
+
+
+def test_generalized_bernoulli_matches_fraction_definition():
+    """The integer kernel against f^(r-1) * sum_k B_r(k/f) chi(k), summed in
+    Fractions, for every primitive character of conductor <= 40."""
+    for chi in _primitive_characters(40):
+        f, m = chi.modulus, chi.order
+        for r in range(1, 11):
+            poly = bernoulli_polynomial(r)
+            acc = [F(0)] * m
+            for k in units(f):
+                acc[chi.value_exponent(k)] += poly(F(k, f))
+            expected = CycElem.from_polynomial(m, acc) * F(f) ** (r - 1)
+            assert generalized_bernoulli(r, chi) == expected, (f, chi.index, r)
+
+
+def test_memoized_and_cold_closed_forms_agree():
+    cached = coordinates._bernoulli_cached
+    for n in (5, 8, 12, 15, 16):
+        for chi in enumerate_characters(n):
+            chif = chi.primitive_part()
+            for r in range(1, 7):
+                warm = cached(r, chif)
+                assert warm is cached(r, chif)
+                assert warm == cached.__wrapped__(r, chif) == generalized_bernoulli(r, chif)
+            warm_closed = [coordinates.coord_power_closed(chi, r) for r in range(1, 7)]
+            cached.cache_clear()
+            assert warm_closed == [coordinates.coord_power_closed(chi, r) for r in range(1, 7)]

@@ -112,6 +112,40 @@ def test_conjugate_character():
                 assert bar.eval(k) == chi.eval(k).conjugate()
 
 
+def test_value_exponent_matches_log_table():
+    """The table lookup against chi(g_i) = zeta_(d_i)^(e_i) on the CRT
+    generators, for every residue -n..2n-1, n <= 64, and the conjugate."""
+    for n in range(2, 65):
+        group_units = set(units(n))
+        for chi in enumerate_characters(n):
+            m = chi.order
+            weights = [
+                e * m // comp.order
+                for comp, e in zip(chi.group.components, chi.exponents)
+            ]
+            bar = chi.conjugate()
+            assert bar is chi.conjugate()
+            assert bar.conjugate() == chi
+            for k in range(-n, 2 * n):
+                e = chi.value_exponent(k)
+                if k % n not in group_units:
+                    assert e is None and bar.value_exponent(k) is None, (n, k)
+                    continue
+                t = chi.group.log_table[k % n]
+                assert e == sum(w * ti for w, ti in zip(weights, t)) % m, (n, chi.index, k)
+                assert bar.value_exponent(k) == (-e) % m
+
+
+def test_value_tables_and_conjugates_are_shared_per_character():
+    first, second = enumerate_characters(21), enumerate_characters(21)
+    for a, b in zip(first, second):
+        assert a is not b
+        assert a.group.value_table(a) is b.group.value_table(b)
+        assert a.conjugate() is b.conjugate()
+    chi = first[1]
+    assert chi.group.value_table(chi.conjugate().conjugate()) is chi.group.value_table(chi)
+
+
 def test_gauss_sum_examples():
     triv = enumerate_characters(4)[0].primitive_part()
     assert gauss_sum(triv) == CycElem.one(1)

@@ -249,3 +249,25 @@ def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "verify", "--stirling", "--kmax", "-1"),
+        ("series", "verify", "--decomposition", "--rmax", "0"),
+        ("series", "verify", "--kmax", "0"),
+        ("coeffs", "check", "0"),
+    ],
+)
+def test_checkers_reject_empty_ranges(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_unselected_identity_range_is_not_checked(capsys):
+    code, out, _ = run_cli(capsys, "series", "verify", "--stirling", "--kmax", "1", "--rmax", "0")
+    assert code == 0
+    assert out == "stirling identity k=1: ok\n"
