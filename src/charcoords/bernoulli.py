@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import units
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem
 
@@ -69,18 +68,6 @@ def bernoulli_polynomial(r: int) -> BernoulliPolynomial:
     return BernoulliPolynomial(r, tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
-def _scaled_bernoulli_ints(r: int, f: int) -> tuple[tuple[int, ...], int]:
-    """(h, D): D = lcm of the denominators of B_r(x), and h the integer
-    coefficients of D * f^r * B_r(x/f), highest power first."""
-    coeffs = bernoulli_polynomial(r).coeffs
-    D = math.lcm(*(c.denominator for c in coeffs))
-    h = tuple(
-        c.numerator * (D // c.denominator) * f ** (r - i) for i, c in enumerate(coeffs)
-    )
-    return h[::-1], D
-
-
 def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
     """B_{r,chi} = f^(r-1) * sum_{k=1}^{f} B_r(k/f) chi(k), chi primitive mod f.
 
@@ -96,11 +83,16 @@ def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
     if chi.conductor() != f:
         raise ValueError("generalized_bernoulli needs a primitive character")
     m = chi.order
-    h, D = _scaled_bernoulli_ints(r, f)
+    coeffs = bernoulli_polynomial(r).coeffs
+    D = math.lcm(*(c.denominator for c in coeffs))
+    # D * f^r * B_r(x/f) has integer coefficients; Horner wants the highest first
+    h = [
+        c.numerator * (D // c.denominator) * f ** (r - i) for i, c in enumerate(coeffs)
+    ][::-1]
     acc = [0] * m
-    for k in units(f):
+    for k, e in chi.unit_values():
         v = 0
         for c in h:
             v = v * k + c
-        acc[chi.value_exponent(k)] += v
+        acc[e] += v
     return CycElem._from_ints(m, acc, f * D)

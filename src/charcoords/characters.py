@@ -84,8 +84,8 @@ class CharacterGroup:
                 comps.append(CrtComponent(q, g, euler_phi(q), _crt_lift(g, q, modulus)))
         self.components = tuple(comps)
         self._log_table: dict[int, tuple[int, ...]] | None = None
-        self._value_tables: dict[tuple[int, ...], tuple[int | None, ...]] = {}
-        self._conjugates: dict[tuple[int, ...], DirichletCharacter] = {}
+        self._unit_columns: tuple | None = None
+        self._characters: dict[tuple[int, ...], DirichletCharacter] = {}
 
     @property
     def log_table(self) -> dict[int, tuple[int, ...]]:
@@ -102,19 +102,27 @@ class CharacterGroup:
             self._log_table = table
         return self._log_table
 
-    def value_table(self, chi: "DirichletCharacter") -> tuple[int | None, ...]:
-        """Residue k mod n -> e with chi(k) = zeta_m^e, None off the units.
+    @property
+    def unit_columns(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """units(n) ascending, and per generator the column of its exponents
+        in those units: log_table read column by column (built lazily)."""
+        if self._unit_columns is None:
+            ks = units(self.modulus)
+            logs = [self.log_table[k % self.modulus] for k in ks]
+            self._unit_columns = (ks, tuple(zip(*logs)))
+        return self._unit_columns
 
-        Built from log_table once per exponent vector and shared by every
-        instance of that character (each enumeration, each conjugate).
+    def character(self, exponents: tuple[int, ...]) -> "DirichletCharacter":
+        """The one shared instance of the character with these exponents.
+
+        Enumeration, conjugate() and primitive_part() all go through here,
+        so what a character memoizes is computed once per process.
         """
-        table = self._value_tables.get(chi.exponents)
-        if table is None:
-            values: list[int | None] = [None] * self.modulus
-            for u, t in self.log_table.items():
-                values[u] = sum(w * ti for w, ti in zip(chi._weights, t)) % chi.order
-            table = self._value_tables.setdefault(chi.exponents, tuple(values))
-        return table
+        chi = self._characters.get(exponents)
+        if chi is None:
+            chi = DirichletCharacter(self, exponents)
+            chi = self._characters.setdefault(chi.exponents, chi)
+        return chi
 
     def __eq__(self, other):
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus
@@ -156,7 +164,6 @@ class DirichletCharacter:
             (e * m) // comp.order
             for comp, e in zip(group.components, self.exponents)
         )
-        self._values: tuple[int | None, ...] | None = None
         self._conductor: int | None = None
         self._primitive: DirichletCharacter | None = None
         self._conjugate: DirichletCharacter | None = None
@@ -184,9 +191,24 @@ class DirichletCharacter:
 
     def value_exponent(self, k: int):
         """e with chi(k) = zeta_m^e, or None when gcd(k, n) > 1."""
-        if self._values is None:
-            self._values = self.group.value_table(self)
-        return self._values[k % self.modulus]
+        t = self.group.log_table.get(k % self.modulus)
+        if t is None:
+            return None
+        return sum(w * ti for w, ti in zip(self._weights, t)) % self.order
+
+    def unit_values(self) -> list[tuple[int, int]]:
+        """(k, value_exponent(k)) for every unit k mod n, k ascending.
+
+        For loops that visit every unit: one pass per generator over the
+        group's unit_columns, and nothing is kept on the character.
+        """
+        ks, columns = self.group.unit_columns
+        es = [0] * len(ks)
+        for w, col in zip(self._weights, columns):
+            if w:
+                es = [e + w * t for e, t in zip(es, col)]
+        m = self.order
+        return list(zip(ks, [e % m for e in es]))
 
     def eval(self, k: int) -> CycElem:
         """chi(k) as an exact element of Q(zeta_m); zero off the units."""
@@ -207,10 +229,9 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character (negated exponent vector)."""
         if self._conjugate is None:
-            # one conjugate instance per character of the group, however
-            # many instances ask: memoized values stay alive with it
-            bar = DirichletCharacter(self.group, tuple(-e for e in self.exponents))
-            self._conjugate = self.group._conjugates.setdefault(bar.exponents, bar)
+            self._conjugate = self.group.character(tuple(
+                -e % c.order for e, c in zip(self.exponents, self.group.components)
+            ))
         return self._conjugate
 
     def conductor(self) -> int:
@@ -243,7 +264,7 @@ class DirichletCharacter:
                 if (e * comp.order) % self.order:
                     raise ArithmeticError("incompatible component order")
                 exps.append((e * comp.order // self.order) % comp.order)
-            self._primitive = DirichletCharacter(gf, tuple(exps))
+            self._primitive = gf.character(tuple(exps))
         return self._primitive
 
     def __eq__(self, other):
@@ -272,7 +293,7 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
         raise ValueError("character enumeration needs n >= 2")
     g = character_group(n)
     return [
-        DirichletCharacter(g, exps)
+        g.character(exps)
         for exps in itertools.product(*(range(c.order) for c in g.components))
     ]
 
@@ -288,8 +309,7 @@ def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ..
     f = chi.modulus
     m = chi.order
     acc: dict[int, int] = {}
-    for k in units(f):
-        e = chi.value_exponent(k)
+    for k, e in chi.unit_values():
         idx = ((L // m) * e + (L // f) * k) % L
         acc[idx] = acc.get(idx, 0) + 1
     return tuple(sorted((i, c) for i, c in acc.items() if c))

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .arith import euler_phi, prime_factors, units
+from .arith import euler_phi, prime_factors
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
@@ -107,15 +107,6 @@ def _times_gauss(vec: list[int], support, L: int) -> list[int]:
     return out
 
 
-def _add_times_gauss(out: list[int], terms, support, L: int) -> None:
-    """out += (sum of c x^b over terms) * (sum of ct x^t over support),
-    in Z[x]/(x^L - 1); exponents are already reduced modulo L."""
-    a = [0] * L
-    for b, c in terms:
-        a[b] += c
-    out[:] = map(operator.add, out, _times_gauss(a, support, L))
-
-
 @lru_cache(maxsize=None)
 def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     """y(chi|a) by the defining sum, computed exactly.
@@ -144,8 +135,8 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     # every sigma_k(a) has the denominator of a: the power basis is an
     # integral basis of Z[zeta_n], which each sigma_k maps onto itself
     vec = [0] * L
-    for k in units(n):
-        base = stride_m * chibar.value_exponent(k)
+    for k, e in chibar.unit_values():
+        base = stride_m * e
         for i, c in enumerate(_galois_cached(a, k).nums):
             if c:
                 pos = base + stride_n * i
@@ -281,9 +272,11 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
         y = coords[chi]
         stride = L // y.order
         scale = den // y.den
-        terms = [(stride * i, c * scale) for i, c in enumerate(y.nums) if c]
+        dense = [0] * L
+        dense[: stride * len(y.nums) : stride] = [c * scale for c in y.nums]
         taubar = chi.conjugate().primitive_part()
-        _add_times_gauss(vec, terms, _gauss_support(taubar, L), L)
+        prod = _times_gauss(dense, _gauss_support(taubar, L), L)
+        vec = list(map(operator.add, vec, prod))
     return project_to_subfield(CycElem._from_ints(L, vec, euler_phi(n) * den), n)
 
 
@@ -301,15 +294,15 @@ def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):
     # chi(k) = zeta_m^e on the units, the only k summed; it is zero elsewhere
     if precision <= 53:
         total = 0j
-        for k in units(n):
-            z = cmath.exp(2j * math.pi * chi.value_exponent(k) / m)
+        for k, e in chi.unit_values():
+            z = cmath.exp(2j * math.pi * e / m)
             total += z * (1j / math.tan(math.pi * k / n)) ** r
         return total
     import mpmath
 
     with mpmath.workprec(precision + 10):
         total = mpmath.mpc(0)
-        for k in units(n):
-            z = mpmath.expjpi(mpmath.mpf(2 * chi.value_exponent(k)) / m)
+        for k, e in chi.unit_values():
+            z = mpmath.expjpi(mpmath.mpf(2 * e) / m)
             total += z * (1j * mpmath.cot(mpmath.pi * k / n)) ** r
         return total

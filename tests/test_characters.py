@@ -113,8 +113,9 @@ def test_conjugate_character():
 
 
 def test_value_exponent_matches_log_table():
-    """The table lookup against chi(g_i) = zeta_(d_i)^(e_i) on the CRT
-    generators, for every residue -n..2n-1, n <= 64, and the conjugate."""
+    """value_exponent against chi(g_i) = zeta_(d_i)^(e_i) on the CRT
+    generators, for every residue -n..2n-1, n <= 64, and the conjugate;
+    unit_values against value_exponent."""
     for n in range(2, 65):
         group_units = set(units(n))
         for chi in enumerate_characters(n):
@@ -134,16 +135,21 @@ def test_value_exponent_matches_log_table():
                 t = chi.group.log_table[k % n]
                 assert e == sum(w * ti for w, ti in zip(weights, t)) % m, (n, chi.index, k)
                 assert bar.value_exponent(k) == (-e) % m
+            assert chi.unit_values() == [(k, chi.value_exponent(k)) for k in units(n)]
 
 
-def test_value_tables_and_conjugates_are_shared_per_character():
+def test_characters_are_shared_per_group():
+    """Enumeration, conjugate() and primitive_part() hand out one instance
+    per character, so what it memoizes is computed once."""
     first, second = enumerate_characters(21), enumerate_characters(21)
-    for a, b in zip(first, second):
-        assert a is not b
-        assert a.group.value_table(a) is b.group.value_table(b)
-        assert a.conjugate() is b.conjugate()
-    chi = first[1]
-    assert chi.group.value_table(chi.conjugate().conjugate()) is chi.group.value_table(chi)
+    assert all(a is b for a, b in zip(first, second))
+    for chi in first:
+        assert chi.conjugate().conjugate() is chi
+        chif = chi.primitive_part()
+        assert chif is character_group(chif.modulus).character(chif.exponents)
+    chi = first[5]
+    shifted = tuple(e + c.order for e, c in zip(chi.exponents, chi.group.components))
+    assert chi.group.character(shifted) is chi
 
 
 def test_gauss_sum_examples():

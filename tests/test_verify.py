@@ -187,7 +187,6 @@ def test_suite_union_touches_every_operation():
     coordinates.coord_definitional.cache_clear()
     coordinates._galois_cached.cache_clear()
     coordinates._bernoulli_cached.cache_clear()
-    bernoulli._scaled_bernoulli_ints.cache_clear()
     cotangent._ICOT_CACHE.clear()
     cotangent._ICOT_POWERS.clear()
 
