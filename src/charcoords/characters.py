@@ -241,8 +241,8 @@ class DirichletCharacter:
             for f in divisors(n):
                 if all(
                     self.value_exponent(k) == 0
-                    for k in units(n)
-                    if k % f == 1 % f
+                    for k in range(1, n, f)
+                    if math.gcd(k, n) == 1
                 ):
                     self._conductor = f
                     break

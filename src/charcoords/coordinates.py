@@ -25,10 +25,11 @@ results.
 Cross-field arithmetic always goes through explicit embeddings into
 Q(zeta_L) with L = lcm(n, m).  coord_definitional and reconstruct share
 one exact path: integer numerators times a sparse Gauss-sum support in
-Z[x]/(x^L - 1), reduced into a CycElem and projected back through
-project_to_subfield, which verifies membership of the result instead of
-assuming it, raising FieldMembershipError on any violation (an
-internal-consistency signal).
+Z[x]/(x^L - 1), handed unreduced to the tensor-basis projection of
+:mod:`charcoords.cyclotomic`, which builds no element of Q(zeta_L).  It
+verifies membership of the result in the target field instead of assuming
+it, raising FieldMembershipError on any violation (an internal-consistency
+signal).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .arith import euler_phi, prime_factors
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
-from .cyclotomic import _KRONECKER_MIN, CycElem, _cyclic_mul, project_to_subfield
+from .cyclotomic import _KRONECKER_MIN, CycElem, _cyclic_mul, _project_cyclic
 
 _METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
 
@@ -145,7 +146,7 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
                 vec[pos] += c
     chif = chi.primitive_part()
     prod = _times_gauss(vec, _gauss_support(chif, L), L)
-    y = project_to_subfield(CycElem._from_ints(L, prod, chif.modulus * a.den), m)
+    y = _project_cyclic(prod, chif.modulus * a.den, L, m)
     return y if chi.parity() == 1 else -y
 
 
@@ -200,6 +201,11 @@ def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     )
 
 
+@lru_cache(maxsize=None)
+def _cotangent_closed_cached(chi: DirichletCharacter, j: int) -> CycElem:
+    return coord_cotangent_closed(chi, j)
+
+
 def coord_power_closed(chi: DirichletCharacter, r: int) -> CycElem:
     """Closed form for y(chi | (i cot(pi/n))^r).
 
@@ -218,7 +224,7 @@ def coord_power_closed(chi: DirichletCharacter, r: int) -> CycElem:
         if (r - j) % 2 == 0:
             c = cot_power_coeff(r, j)
             if c:
-                total = total + coord_cotangent_closed(chi, j) * c
+                total = total + _cotangent_closed_cached(chi, j) * c
     return total
 
 
@@ -277,7 +283,7 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
         taubar = chi.conjugate().primitive_part()
         prod = _times_gauss(dense, _gauss_support(taubar, L), L)
         vec = list(map(operator.add, vec, prod))
-    return project_to_subfield(CycElem._from_ints(L, vec, euler_phi(n) * den), n)
+    return _project_cyclic(vec, euler_phi(n) * den, L, n)
 
 
 def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):

@@ -30,7 +30,22 @@ saves, so the schoolbook loops stay for small fields and for sparse Phi_N
 such as those of prime-power orders; they are also the reference the
 tests compare the kernel against.
 
-Module-level caches (cyclotomic polynomials, subfield solver data) are
+Projection to a subfield (:func:`project_to_subfield`, and the coordinate
+paths, which hand over their raw vectors in Z[x]/(x^L - 1)) never reduces
+modulo Phi_L.  It works in the tensor power basis of
+Q(zeta_L) = (x)_q Q(zeta_q), q running over the prime powers exactly
+dividing L.  With a_q = (L/q)^-1 mod q, zeta_L^i = prod_q zeta_q^(a_q i mod q);
+each axis is reduced modulo Phi_q(x) = sum_{j<p} x^(j q/p) by subtracting
+its top digit classes from the lower ones, a few list-slice operations per
+axis.  The coordinates left are those of the integral basis
+prod zeta_q^(d_q), d_q < phi(q).  In it, as in the Zumbroich basis (Bosma,
+AAECC 1990; Breuer, AAECC 1997), subfield membership is a support check:
+Q(zeta_m) is spanned by the elements whose every d_q is a multiple of
+q/gcd(q, m), those on the exponents i*L/m, which are zeta_m^i.  So the
+projection checks that all other coordinates are zero and reads the kept
+ones off.
+
+Module-level caches (cyclotomic polynomials, tensor-basis layouts) are
 plain dicts/lru_caches; under CPython's GIL they are safe to share across
 threads, at worst recomputing an entry.
 """
@@ -39,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -345,87 +361,6 @@ def _scaled_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# subfield recognition: solve embed(y, L) == value for y in Q(zeta_m)
-
-@lru_cache(maxsize=None)
-def _embedding_monomials(L: int, m: int):
-    """Exponents j*L/m for the basis of Q(zeta_m) inside Q(zeta_L), or None
-    if some basis power needs reduction modulo Phi_L."""
-    stride = L // m
-    exps = tuple(j * stride for j in range(euler_phi(m)))
-    if exps[-1] < euler_phi(L):
-        return exps
-    return None
-
-
-def _mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-@lru_cache(maxsize=None)
-def _embedding_solver(L: int, m: int):
-    """Pivot rows and inverted pivot submatrix (integers over one common
-    denominator) for the general projection."""
-    dm, dL = euler_phi(m), euler_phi(L)
-    stride = L // m
-    cols = []
-    for j in range(dm):
-        e = j * stride
-        cols.append(tuple(_reduce_mod_phi([0] * e + [1], L)))
-    chosen: list[int] = []
-    echelon: list[tuple[int, list[Fraction]]] = []
-    for i in range(dL):
-        v = [Fraction(cols[j][i]) for j in range(dm)]
-        for pos, b in echelon:
-            if v[pos]:
-                f = v[pos]
-                v = [a - f * c for a, c in zip(v, b)]
-        pivot = next((p for p, c in enumerate(v) if c), None)
-        if pivot is not None:
-            inv = Fraction(1) / v[pivot]
-            echelon.append((pivot, [c * inv for c in v]))
-            chosen.append(i)
-            if len(chosen) == dm:
-                break
-    if len(chosen) < dm:
-        raise ArithmeticError("embedding basis unexpectedly dependent")
-    m0 = [[Fraction(cols[j][i]) for j in range(dm)] for i in chosen]
-    flat, inv_den = _scaled_ints([c for row in _mat_inv(m0) for c in row])
-    inv_nums = tuple(tuple(flat[a * dm:(a + 1) * dm]) for a in range(dm))
-    return tuple(cols), tuple(chosen), inv_nums, inv_den
-
-
-def _solve_embedding(vec: Sequence[int], L: int, m: int):
-    """Find y in Q(zeta_m) with embed(y, L) equal to the canonical integer
-    vector ``vec``, as (integer numerators, denominator), or None if no
-    such y exists."""
-    exps = _embedding_monomials(L, m)
-    if exps is not None:
-        support = set(exps)
-        if any(c for i, c in enumerate(vec) if i not in support):
-            return None
-        return [vec[e] for e in exps], 1
-    cols, rows, inv, den = _embedding_solver(L, m)
-    t = [vec[i] for i in rows]
-    nums = [sum(a * b for a, b in zip(row, t)) for row in inv]
-    for i, c in enumerate(vec):
-        if sum(y * col[i] for y, col in zip(nums, cols) if col[i]) != den * c:
-            return None
-    return nums, den
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, init=False)
@@ -690,6 +625,54 @@ def to_common_order(a: CycElem, b: CycElem) -> tuple[CycElem, CycElem]:
     return a.embed(L), b.embed(L)
 
 
+# ---------------------------------------------------------------------------
+# subfield projection in the tensor basis (see the module docstring)
+
+@lru_cache(maxsize=None)
+def _tensor_axes(L: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Per prime power q = p^e exactly dividing L, smallest p first: (q, p,
+    the residues mod q of the exponents that carry a top digit of the axis).
+
+    Exponent i carries the digit a_q*i mod q, a_q = (L/q)^-1 mod q, so digit
+    d sits on the residue class (L/q)*d mod q.  The top digits are those
+    d >= phi(q), which Phi_q(x) = sum_{j<p} x^(j*q/p) rewrites as minus the
+    digits d - j*q/p, j = 1..p-1: exponent i goes to i - j*L/p.
+    """
+    axes = []
+    for p, e in sorted(prime_factors(L).items()):
+        q = p**e
+        axes.append((q, p, tuple(L // q * d % q for d in range(euler_phi(q), q))))
+    return tuple(axes)
+
+
+def _project_cyclic(ints: Sequence[int], den: int, L: int, m: int) -> CycElem:
+    """sum(ints[i] * zeta_L^i) / den as an element of Q(zeta_m), for L ints,
+    m | L and den > 0, or FieldMembershipError if it does not lie there.
+
+    The coordinates stay at their exponents: once every axis is reduced,
+    the nonzero entries are the coordinates in the basis prod zeta_q^(d_q),
+    d_q < phi(q).  Q(zeta_m) is spanned by the basis elements on the
+    exponents i*L/m, which are zeta_m^i; every other entry must be zero.
+    """
+    v = list(ints)
+    for q, p, tops in _tensor_axes(L):
+        M = L // q
+        zeros = [0] * M
+        for r in tops:
+            top = v[r::q]
+            if any(top):
+                v[r::q] = zeros
+                top += top
+                for j in range(1, p):
+                    # term t of the top class lands on term t + k of class rho
+                    k, rho = divmod((r - j * (L // p)) % L, q)
+                    v[rho::q] = map(operator.sub, v[rho::q], top[M - k:2 * M - k])
+    w = v[::L // m]
+    if v.count(0) - w.count(0) != L - m:
+        raise FieldMembershipError("value does not lie in Q(zeta_%d)" % m)
+    return CycElem._from_ints(m, w, den)
+
+
 def project_to_subfield(a: CycElem, m: int) -> CycElem:
     """Write a as an element of Q(zeta_m) for m | order, or raise
     FieldMembershipError if a does not lie in that subfield."""
@@ -698,8 +681,4 @@ def project_to_subfield(a: CycElem, m: int) -> CycElem:
         raise ValueError("%d does not divide the order %d" % (m, L))
     if m == L:
         return a
-    y = _solve_embedding(a.nums, L, m)
-    if y is None:
-        raise FieldMembershipError("value does not lie in Q(zeta_%d)" % m)
-    nums, den = y
-    return CycElem._from_ints(m, nums, den * a.den)
+    return _project_cyclic(a.nums + (0,) * (L - len(a.nums)), a.den, L, m)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from charcoords.arith import units
+from charcoords.arith import divisors, units
 from charcoords.characters import (
     character_group,
     enumerate_characters,
@@ -84,6 +84,17 @@ def test_conductor():
         values = (chi.eval(5), chi.eval(7))
         if values == (CycElem.one(chi.order), CycElem.from_rational(-1, chi.order)):
             assert chi.conductor() == 4
+
+
+def test_conductor_matches_definition():
+    # the smallest f | n such that chi(k) = 1 for every unit k = 1 mod f
+    for n in range(2, 65):
+        for chi in enumerate_characters(n):
+            expected = min(
+                f for f in divisors(n)
+                if all(chi.eval(k) == CycElem.one(chi.order) for k in units(n) if k % f == 1 % f)
+            )
+            assert chi.conductor() == expected, (n, chi.exponents)
 
 
 def test_primitive_part():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcoords import cyclotomic
-from charcoords.arith import euler_phi
+from charcoords.arith import divisors, euler_phi
 from charcoords.coordinates import _times_gauss
 from charcoords.cyclotomic import (
     CycElem,
@@ -393,3 +393,53 @@ def test_cofactor_times_phi_is_x_to_the_n_minus_1():
         assert psi[-1] == 1 and gain >= 1
         prod = cyclotomic._schoolbook_mul(psi, cyclotomic_polynomial(N))
         assert prod == [-1] + [0] * (N - 1) + [1]
+
+
+# -- tensor-basis projection against a Galois-invariance oracle ---------------
+
+PROJECTION_ORDERS = (1, 2, 4, 8, 9, 12, 30, 105, 294, 506, 1640, 2162)
+
+
+def _in_subfield(a, m):
+    """Whether a lies in Q(zeta_m): whether every sigma_j with j = 1 mod m
+    fixes it."""
+    L = a.order
+    return all(a.galois(j) == a for j in range(1, L, m) if math.gcd(j, L) == 1)
+
+
+def _cyclic_representative(a, rng):
+    """L ints for a in Z[x]/(x^L - 1): its numerators plus random multiples
+    of x^s * Phi_L, taken modulo x^L - 1."""
+    L = a.order
+    v = list(a.nums) + [0] * (L - len(a.nums))
+    for _ in range(3):
+        s, c = rng.randrange(L), rng.randint(-(10**6), 10**6)
+        for i, t in enumerate(cyclotomic_polynomial(L)):
+            v[(s + i) % L] += c * t
+    return v
+
+
+@pytest.mark.parametrize("L", PROJECTION_ORDERS)
+def test_project_cyclic_against_galois_oracle(L):
+    rng = random.Random(L)
+    raised = 0
+    for m in divisors(L):
+        nums = [rng.randint(-(10**9), 10**9) for _ in range(euler_phi(m))]
+        y = CycElem._from_ints(m, nums, rng.randint(1, 99))
+        a = y.embed(L)
+        assert _in_subfield(a, m)
+        v = _cyclic_representative(a, rng)
+        assert cyclotomic._project_cyclic(v, a.den, L, m) == y
+        assert cyclotomic._project_cyclic([3 * c for c in v], 3 * a.den, L, m) == y
+        # off the subfield: add a root of unity, or take a dense element
+        dense = CycElem._from_ints(L, [rng.randint(-99, 99) for _ in range(L)], 7)
+        for b in (a + CycElem.zeta(L, 1), a + CycElem.zeta(L, rng.randrange(L)), dense):
+            v = _cyclic_representative(b, rng)
+            if _in_subfield(b, m):
+                assert cyclotomic._project_cyclic(v, b.den, L, m).embed(L) == b
+            else:
+                raised += 1
+                with pytest.raises(FieldMembershipError):
+                    cyclotomic._project_cyclic(v, b.den, L, m)
+    # Q(zeta_2) = Q, so only L > 2 has proper subfields
+    assert raised or L <= 2

@@ -187,6 +187,7 @@ def test_suite_union_touches_every_operation():
     coordinates.coord_definitional.cache_clear()
     coordinates._galois_cached.cache_clear()
     coordinates._bernoulli_cached.cache_clear()
+    coordinates._cotangent_closed_cached.cache_clear()
     cotangent._ICOT_CACHE.clear()
     cotangent._ICOT_POWERS.clear()
 
