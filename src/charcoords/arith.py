@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+
+from .memo import memo
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -22,7 +23,7 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
@@ -32,7 +33,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@memo
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     out = [1]
@@ -45,7 +46,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == {n: 1}
 
 
-@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """Residues coprime to n, ascending.  For n = 1 this is (1,)."""
     if n < 1:

@@ -10,10 +10,10 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem
+from .memo import memo
 
 _B_CACHE: list[Fraction] = [Fraction(1)]
 _B_LOCK = threading.Lock()  # growth must be serialized; reads are index-safe
@@ -57,7 +57,7 @@ class BernoulliPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i)
 
 
-@lru_cache(maxsize=None)
+@memo
 def bernoulli_polynomial(r: int) -> BernoulliPolynomial:
     """B_r(x) = sum_k C(r, k) B_k x^(r-k)."""
     if r < 0:

@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import divisors, euler_phi, prime_factors, units
 from .cyclotomic import CycElem
+from .memo import memo
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class CharacterGroup:
         """The one shared instance of the character with these exponents.
 
         Enumeration, conjugate() and primitive_part() all go through here,
-        so what a character memoizes is computed once per process.
+        so a memo keyed on a character finds it by identity.
         """
         chi = self._characters.get(exponents)
         if chi is None:
@@ -134,7 +134,7 @@ class CharacterGroup:
         return "CharacterGroup(%d)" % self.modulus
 
 
-@lru_cache(maxsize=None)
+@memo
 def character_group(n: int) -> CharacterGroup:
     return CharacterGroup(n)
 
@@ -164,9 +164,6 @@ class DirichletCharacter:
             (e * m) // comp.order
             for comp, e in zip(group.components, self.exponents)
         )
-        self._conductor: int | None = None
-        self._primitive: DirichletCharacter | None = None
-        self._conjugate: DirichletCharacter | None = None
 
     # value_order is a synonym: values generate Q(zeta_order)
     @property
@@ -226,46 +223,43 @@ class DirichletCharacter:
             raise ArithmeticError("chi(-1) is not +-1")
         return -1
 
+    @memo
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character (negated exponent vector)."""
-        if self._conjugate is None:
-            self._conjugate = self.group.character(tuple(
-                -e % c.order for e, c in zip(self.exponents, self.group.components)
-            ))
-        return self._conjugate
+        return self.group.character(tuple(
+            -e % c.order for e, c in zip(self.exponents, self.group.components)
+        ))
 
+    @memo
     def conductor(self) -> int:
         """Smallest f | n with chi trivial on units congruent to 1 mod f."""
-        if self._conductor is None:
-            n = self.modulus
-            for f in divisors(n):
-                if all(
-                    self.value_exponent(k) == 0
-                    for k in range(1, n, f)
-                    if math.gcd(k, n) == 1
-                ):
-                    self._conductor = f
-                    break
-        return self._conductor
+        n = self.modulus
+        return next(
+            f for f in divisors(n)
+            if all(
+                self.value_exponent(k) == 0
+                for k in range(1, n, f)
+                if math.gcd(k, n) == 1
+            )
+        )
 
+    @memo
     def primitive_part(self) -> "DirichletCharacter":
         """The primitive character mod conductor(chi) inducing chi."""
-        if self._primitive is None:
-            f = self.conductor()
-            gf = character_group(f)
-            exps = []
-            for comp in gf.components:
-                g = comp.generator_mod_n
-                k = next(
-                    k for k in range(g, g + self.modulus + 1, f)
-                    if math.gcd(k, self.modulus) == 1
-                )
-                e = self.value_exponent(k)
-                if (e * comp.order) % self.order:
-                    raise ArithmeticError("incompatible component order")
-                exps.append((e * comp.order // self.order) % comp.order)
-            self._primitive = gf.character(tuple(exps))
-        return self._primitive
+        f = self.conductor()
+        gf = character_group(f)
+        exps = []
+        for comp in gf.components:
+            g = comp.generator_mod_n
+            k = next(
+                k for k in range(g, g + self.modulus + 1, f)
+                if math.gcd(k, self.modulus) == 1
+            )
+            e = self.value_exponent(k)
+            if (e * comp.order) % self.order:
+                raise ArithmeticError("incompatible component order")
+            exps.append((e * comp.order // self.order) % comp.order)
+        return gf.character(tuple(exps))
 
     def __eq__(self, other):
         return (
@@ -298,7 +292,7 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
     ]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
     """Support of tau(chi) in Q(zeta_L) as (exponent, coefficient) pairs.
 
@@ -315,7 +309,7 @@ def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ..
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
-@lru_cache(maxsize=None)
+@memo
 def gauss_sum(chi: DirichletCharacter) -> CycElem:
     """tau(chi) = sum_{k=1}^{f} chi(k) zeta_f^k for chi primitive mod f.
 

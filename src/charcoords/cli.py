@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
 
 from . import __version__
 from .bernoulli import bernoulli_number, generalized_bernoulli
@@ -30,6 +29,7 @@ from .coordinates import (
 )
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem, FieldMembershipError
+from .memo import memo
 from .series import TruncationError, verify_power_decomposition, verify_stirling_identity
 from .verify import SuiteConfig, config_with_overrides, run_suites
 
@@ -293,7 +293,7 @@ def _cmd_verify(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of the CLI.
 

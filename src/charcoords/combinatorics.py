@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number
+from .memo import memo
 
 _STIRLING_ROWS: list[list[int]] = [[1], [0, 1]]  # row k: S(k, j) for j = 0..k
 _STIRLING_LOCK = threading.Lock()
@@ -68,12 +69,21 @@ def cot_power_coeff(r: int, j: int) -> Fraction:
     return (-1) ** (r - 1) * total
 
 
-_CONV_POWERS: dict[int, list[Fraction]] = {}
-
-
-def _bernoulli_taylor(terms: int) -> list[Fraction]:
-    # a_m = B_{2m} / (2m)!
-    return [bernoulli_number(2 * m) / math.factorial(2 * m) for m in range(terms)]
+@memo
+def _conv_power(r: int) -> tuple[Fraction, ...]:
+    """The r-th power of sum_m B_{2m} z^m/(2m)!, through z^(r//2)."""
+    terms = r // 2 + 1
+    base = [bernoulli_number(2 * m) / math.factorial(2 * m) for m in range(terms)]
+    power = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for _ in range(r):
+        nxt = [Fraction(0)] * terms
+        for i, pi in enumerate(power):
+            if pi:
+                for k in range(terms - i):
+                    if base[k]:
+                        nxt[i + k] += pi * base[k]
+        power = nxt
+    return tuple(power)
 
 
 def bernoulli_conv_coeff(r: int, j: int) -> Fraction:
@@ -85,22 +95,7 @@ def bernoulli_conv_coeff(r: int, j: int) -> Fraction:
         raise ValueError("bernoulli_conv_coeff needs r >= 1")
     if j < 1 or j > r or (r - j) % 2:
         return Fraction(0)
-    w = (r - j) // 2
-    power = _CONV_POWERS.get(r)
-    if power is None or len(power) <= w:
-        terms = r // 2 + 1
-        base = _bernoulli_taylor(terms)
-        power = [Fraction(1)] + [Fraction(0)] * (terms - 1)
-        for _ in range(r):
-            nxt = [Fraction(0)] * terms
-            for i, pi in enumerate(power):
-                if pi:
-                    for k in range(terms - i):
-                        if base[k]:
-                            nxt[i + k] += pi * base[k]
-            power = nxt
-        _CONV_POWERS[r] = power
-    return _CONV_POWERS[r][w]
+    return _conv_power(r)[(r - j) // 2]
 
 
 def _compositions(total: int, parts: int):

@@ -39,7 +39,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from .arith import euler_phi, prime_factors
@@ -47,6 +46,7 @@ from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .cyclotomic import _KRONECKER_MIN, CycElem, _cyclic_mul, _project_cyclic
+from .memo import memo
 
 _METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
 
@@ -79,12 +79,7 @@ class CoordReport:
         return out
 
 
-@lru_cache(maxsize=None)
-def _galois_cached(a: CycElem, k: int) -> CycElem:
-    return a.galois(k)
-
-
-@lru_cache(maxsize=None)
+@memo
 def _bernoulli_cached(r: int, chi: DirichletCharacter) -> CycElem:
     return generalized_bernoulli(r, chi)
 
@@ -108,12 +103,12 @@ def _times_gauss(vec: list[int], support, L: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     """y(chi|a) by the defining sum, computed exactly.
 
     The sum over sigma_k(a) weighted by conj(chi)(k) is accumulated in
-    Q(zeta_L), L = lcm(n, m), then multiplied by the inverse of the
+    Z[x]/(x^L - 1), L = lcm(n, m), then multiplied by the inverse of the
     embedded Gauss sum tau(conj(chi)_f).  That inverse is the exact element
     chi(-1)/f * tau(chi_f): for a primitive character psi mod f one has
     tau(psi) tau(conj(psi)) = psi(-1) f, an identity the test suite checks
@@ -133,17 +128,17 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     chibar = chi.conjugate()
     stride_n = L // n
     stride_m = L // m
-    # every sigma_k(a) has the denominator of a: the power basis is an
-    # integral basis of Z[zeta_n], which each sigma_k maps onto itself
+    # any representative in Z[x]/(x^L - 1) will do, so conj(chi)(k) *
+    # sigma_k(a) is a.nums[i] at exponent stride_m*e + stride_n*i*k mod L
     vec = [0] * L
     for k, e in chibar.unit_values():
-        base = stride_m * e
-        for i, c in enumerate(_galois_cached(a, k).nums):
-            if c:
-                pos = base + stride_n * i
-                if pos >= L:
-                    pos -= L
-                vec[pos] += c
+        pos = stride_m * e
+        step = stride_n * k
+        for c in a.nums:
+            vec[pos] += c
+            pos += step
+            if pos >= L:
+                pos -= L
     chif = chi.primitive_part()
     prod = _times_gauss(vec, _gauss_support(chif, L), L)
     y = _project_cyclic(prod, chif.modulus * a.den, L, m)
@@ -171,6 +166,7 @@ def _euler_factor_product(chi_f: DirichletCharacter, n: int, power: int) -> CycE
     return total
 
 
+@memo
 def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     """Closed form for y(chi | i^j cot_(j-1)(pi/n)).
 
@@ -201,11 +197,6 @@ def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     )
 
 
-@lru_cache(maxsize=None)
-def _cotangent_closed_cached(chi: DirichletCharacter, j: int) -> CycElem:
-    return coord_cotangent_closed(chi, j)
-
-
 def coord_power_closed(chi: DirichletCharacter, r: int) -> CycElem:
     """Closed form for y(chi | (i cot(pi/n))^r).
 
@@ -224,7 +215,7 @@ def coord_power_closed(chi: DirichletCharacter, r: int) -> CycElem:
         if (r - j) % 2 == 0:
             c = cot_power_coeff(r, j)
             if c:
-                total = total + _cotangent_closed_cached(chi, j) * c
+                total = total + coord_cotangent_closed(chi, j) * c
     return total
 
 

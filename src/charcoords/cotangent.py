@@ -19,6 +19,7 @@ import threading
 from dataclasses import dataclass
 
 from .cyclotomic import CycElem
+from .memo import memo
 
 _COT_POLYS: list[tuple[int, ...]] = [(0, 1)]  # p_0(y) = y, ascending coefficients
 _COT_LOCK = threading.Lock()
@@ -57,37 +58,32 @@ def cot_derivative_poly(l: int) -> CotDerivPoly:
     return CotDerivPoly(l, _COT_POLYS[l])
 
 
-_ICOT_CACHE: dict[tuple[int, int], CycElem] = {}
-_ICOT_POWERS: dict[tuple[int, int], CycElem] = {}
-
-
+@memo
 def icot_value(n: int, k: int = 1) -> CycElem:
     """i*cot(pi*k/n) = (1 + zeta_n^k)/(1 - zeta_n^k), exact in Q(zeta_n)."""
     if n < 2:
         raise ValueError("icot_value needs n >= 2")
     if math.gcd(k, n) != 1:
         raise ValueError("k = %d is not coprime to n = %d" % (k, n))
-    key = (n, k % n)
-    val = _ICOT_CACHE.get(key)
-    if val is None:
-        z = CycElem.zeta(n, k)
-        one = CycElem.one(n)
-        val = (one + z) * (one - z).inverse()
-        _ICOT_CACHE[key] = val
-    return val
+    z = CycElem.zeta(n, k)
+    one = CycElem.one(n)
+    return (one + z) * (one - z).inverse()
 
 
+@memo
 def icot_power(r: int, n: int) -> CycElem:
-    """(i*cot(pi/n))^r, exact."""
+    """(i*cot(pi/n))^r, exact; by squaring, so the recursion is O(log r)
+    deep and each call makes one product."""
     if r < 1:
         raise ValueError("icot_power needs r >= 1")
     if n < 2:
         raise ValueError("icot_power needs n >= 2")
-    val = _ICOT_POWERS.get((n, r))
-    if val is None:
-        val = icot_value(n) if r == 1 else icot_power(r - 1, n) * icot_value(n)
-        _ICOT_POWERS[(n, r)] = val
-    return val
+    if r == 1:
+        return icot_value(n)
+    if r % 2:
+        return icot_power(r - 1, n) * icot_value(n)
+    half = icot_power(r // 2, n)
+    return half * half
 
 
 def cotangent_number(j: int, n: int) -> CycElem:

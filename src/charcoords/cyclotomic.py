@@ -45,9 +45,11 @@ q/gcd(q, m), those on the exponents i*L/m, which are zeta_m^i.  So the
 projection checks that all other coordinates are zero and reads the kept
 ones off.
 
-Module-level caches (cyclotomic polynomials, tensor-basis layouts) are
-plain dicts/lru_caches; under CPython's GIL they are safe to share across
-threads, at worst recomputing an entry.
+Memoized results here, as everywhere in the package, go through the one
+bounded, thread-safe memo of :mod:`charcoords.memo`, which clear_memos()
+empties in one call.  The prefix tables of Bernoulli numbers, Stirling rows
+and cotangent derivatives keep their locks: each row is built from the rows
+below, and an evicting memo would make that recurrence a deep recursion.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import divisors, euler_phi, prime_factors
+from .memo import memo
 
 # All rational scalars in this package are arbitrary-precision fractions
 # in lowest terms with positive denominator, which is exactly what the
@@ -114,7 +116,7 @@ def _mobius_divisors(N: int) -> tuple[list[int], list[int]]:
     return ups, downs
 
 
-@lru_cache(maxsize=None)
+@memo
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients of Phi_N, ascending powers, monic of degree phi(N).
 
@@ -127,7 +129,7 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     return tuple(_binomial_ratio(*_mobius_divisors(N)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _cofactor(N: int) -> tuple[tuple[int, ...], int]:
     """Psi_N = (x^N - 1) / Phi_N, the product of Phi_d over the proper
     divisors d of N, and the growth factor of a reduction through it.
@@ -145,7 +147,7 @@ def _cofactor(N: int) -> tuple[tuple[int, ...], int]:
     return psi, 1 + sum(map(abs, psi)) * sum(map(abs, cyclotomic_polynomial(N)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _phi_terms(N: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (exponent, coefficient) pairs of Phi_N below its leading
     term."""
@@ -628,7 +630,7 @@ def to_common_order(a: CycElem, b: CycElem) -> tuple[CycElem, CycElem]:
 # ---------------------------------------------------------------------------
 # subfield projection in the tensor basis (see the module docstring)
 
-@lru_cache(maxsize=None)
+@memo
 def _tensor_axes(L: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """Per prime power q = p^e exactly dividing L, smallest p first: (q, p,
     the residues mod q of the exponents that carry a top digit of the axis).

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from charcoords import cli
 from charcoords.cli import main
 from charcoords.cyclotomic import CycElem, FieldMembershipError
+from charcoords.memo import clear_memos
 from charcoords.series import TruncationError
 
 
@@ -212,6 +214,14 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert out == ""
     assert err == "internal error: %s\n" % exc
     assert "Traceback" not in err
+
+
+def test_cot_deep_power(capsys):
+    clear_memos()  # as in a fresh process
+    code, out, err = run_cli(capsys, "cot", "3", "--power", "1200", "--format", "json")
+    assert code == 0 and err == ""
+    value = CycElem.from_json_dict(json.loads(out)["results"]["value"])
+    assert value == CycElem.from_rational(Fraction(1, 3**600), 3)
 
 
 def test_main_twice_in_one_process(capsys):

@@ -18,7 +18,7 @@ from charcoords.coordinates import (
     reconstruct,
 )
 from charcoords.cotangent import cotangent_number, icot_power, icot_value
-from charcoords.cyclotomic import CycElem, to_common_order
+from charcoords.cyclotomic import CycElem, project_to_subfield, to_common_order
 
 
 def test_definitional_of_one_is_phi_for_principal():
@@ -227,3 +227,20 @@ def test_definitional_is_linear_dense(pair, q):
     for chi in enumerate_characters(a.order):
         lhs = coord_definitional(chi, a + b * q)
         assert lhs == coord_definitional(chi, a) + coord_definitional(chi, b) * q
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([5, 8, 9, 12, 15, 16]).flatmap(dense_elements))
+def test_definitional_matches_literal_sum(a):
+    # coord_definitional scatters a.nums without forming any sigma_k(a);
+    # here every term conj(chi)(k) * sigma_k(a) is built in Q(zeta_L)
+    n = a.order
+    for chi in enumerate_characters(n):
+        chibar = chi.conjugate()
+        L = math.lcm(n, chi.order)
+        total = CycElem.zero(L)
+        for k in units(n):
+            total = total + chibar.eval(k).embed(L) * a.galois(k).embed(L)
+        tau = gauss_sum(chibar.primitive_part()).embed(L)
+        expected = project_to_subfield(total * tau.inverse(), chi.order)
+        assert coord_definitional.__wrapped__(chi, a) == expected, (n, chi.index)

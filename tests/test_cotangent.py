@@ -59,6 +59,13 @@ def test_icot_power():
         icot_power(0, 4)
 
 
+def test_icot_power_deep_exponent():
+    # (i cot(pi/3))^2 = -1/3; a cold memo builds the 1200th power by
+    # squaring, far inside the recursion limit
+    icot_power.cache_clear()
+    assert icot_power(1200, 3) == CycElem.from_rational(F(1, 3**600), 3)
+
+
 def test_cot_derivative_polys():
     assert cot_derivative_poly(0).coeffs == (0, 1)
     assert cot_derivative_poly(1).coeffs == (-1, 0, -1)

@@ -5,6 +5,7 @@ import pytest
 from charcoords import bernoulli, characters, combinatorics, coordinates, cotangent
 from charcoords import cyclotomic, series
 from charcoords.cyclotomic import CycElem
+from charcoords.memo import clear_memos
 from charcoords.verify import (
     SuiteConfig,
     config_with_overrides,
@@ -181,15 +182,7 @@ def test_suite_union_touches_every_operation():
             seen.add(frame.f_code)
 
     # drop memoized results so cached operations run their bodies again
-    cyclotomic.cyclotomic_polynomial.cache_clear()
-    characters.gauss_sum.cache_clear()
-    bernoulli.bernoulli_polynomial.cache_clear()
-    coordinates.coord_definitional.cache_clear()
-    coordinates._galois_cached.cache_clear()
-    coordinates._bernoulli_cached.cache_clear()
-    coordinates._cotangent_closed_cached.cache_clear()
-    cotangent._ICOT_CACHE.clear()
-    cotangent._ICOT_POWERS.clear()
+    clear_memos()
 
     targets = {_unwrap(fn).__code__: _unwrap(fn).__qualname__ for fn in _COVERED_OPS}
     sys.setprofile(tracer)
