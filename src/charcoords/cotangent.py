@@ -1,12 +1,16 @@
 """Exact cotangent powers and cotangent numbers at pi/n.
 
-Everything runs inside Q(zeta_n) through the identity
-i*cot(pi*k/n) = (1 + zeta_n^k) / (1 - zeta_n^k); no floating trigonometry
-appears on the exact path.  The ``cotangent number`` of index j is
-i^j * cot_(j-1)(pi/n), where cot_l is the l-th derivative of cot; it is
-rewritten as a rational combination of powers of i*cot before evaluation,
-so the result is an exact cyclotomic number (real for even j, purely
-imaginary for odd j).
+Everything runs inside Q(zeta_n); no floating trigonometry appears on the
+exact path.  i*cot(pi*k/n) = (1 + zeta_n^k) / (1 - zeta_n^k) = -1 + 2/(1 - x)
+with x = zeta_n^k, and for x^n = 1, x != 1, the classical identity
+(1 - x) * sum_{j<n} j*x^j = -n gives 2/(1 - x) = -(2/n) * sum_{j<n} j*x^j.
+So i*cot is the integer vector -n - 2 * sum_j j*zeta_n^(jk) over the
+denominator n, reduced modulo Phi_n, with no field division.
+
+The ``cotangent number`` of index j is i^j * cot_(j-1)(pi/n), where cot_l
+is the l-th derivative of cot; it is rewritten as a rational combination
+of powers of i*cot before evaluation, so the result is an exact cyclotomic
+number (real for even j, purely imaginary for odd j).
 
 n = 2 is admitted everywhere: i*cot(pi/2) = 0 and all values degenerate
 gracefully.
@@ -60,14 +64,17 @@ def cot_derivative_poly(l: int) -> CotDerivPoly:
 
 @memo
 def icot_value(n: int, k: int = 1) -> CycElem:
-    """i*cot(pi*k/n) = (1 + zeta_n^k)/(1 - zeta_n^k), exact in Q(zeta_n)."""
+    """i*cot(pi*k/n) = (1 + zeta_n^k)/(1 - zeta_n^k), exact in Q(zeta_n),
+    built as -1 - (2/n) * sum_j j*zeta_n^(jk) over the denominator n."""
     if n < 2:
         raise ValueError("icot_value needs n >= 2")
     if math.gcd(k, n) != 1:
         raise ValueError("k = %d is not coprime to n = %d" % (k, n))
-    z = CycElem.zeta(n, k)
-    one = CycElem.one(n)
-    return (one + z) * (one - z).inverse()
+    v = [0] * n
+    v[0] = -n
+    for j in range(1, n):
+        v[j * k % n] -= 2 * j
+    return CycElem._from_ints(n, v, n)
 
 
 @memo

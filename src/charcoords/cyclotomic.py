@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import divisors, euler_phi, prime_factors
+from .arith import divisors, euler_phi, prime_factors, units
 from .memo import memo
 
 # All rational scalars in this package are arbitrary-precision fractions
@@ -303,57 +303,6 @@ def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
     return _schoolbook_reduce(coeffs, N)
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = len(den) - 1
-    lead = den[dd]
-    q = [Fraction(0)] * max(len(num) - dd, 0)
-    for e in range(len(num) - 1, dd - 1, -1):
-        c = num[e]
-        if c:
-            c = c / lead
-            q[e - dd] = c
-            for i in range(dd + 1):
-                num[e - dd + i] -= c * den[i]
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_inverse_mod_phi(res: Sequence[int], N: int) -> list[Fraction]:
-    """Inverse of a residue modulo Phi_N by the extended Euclidean algorithm,
-    as rational coefficients of degree below phi(N)."""
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(N)]
-    r1 = [Fraction(c) for c in res]
-    while r1 and not r1[-1]:
-        r1.pop()
-    if not r1:
-        raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % N)
-    u0: list[Fraction] = []
-    u1: list[Fraction] = [Fraction(1)]
-    while len(r1) > 1:
-        q, rem = _poly_divmod(r0, r1)
-        # u_next = u0 - q*u1
-        qu = [Fraction(0)] * (len(q) + len(u1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, uj in enumerate(u1):
-                    qu[i + j] += qi * uj
-        nxt = [Fraction(0)] * max(len(u0), len(qu))
-        for i, c in enumerate(u0):
-            nxt[i] += c
-        for i, c in enumerate(qu):
-            nxt[i] -= c
-        r0, r1 = r1, rem
-        u0, u1 = u1, nxt
-    g = r1[0]  # nonzero constant: Phi_N is irreducible over Q
-    return [c / g for c in u1]
-
-
 def _scaled_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Clear denominators: returns (integer vector, common denominator)."""
     den = 1
@@ -537,12 +486,16 @@ class CycElem:
         return result
 
     def inverse(self) -> "CycElem":
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against Phi_N over the rationals."""
+        """Multiplicative inverse through the Galois norm: with c the
+        product of the conjugates galois(k) over the units k != 1 mod N,
+        self * c is the norm, a nonzero rational, and the inverse is c
+        divided by it.  It takes phi(N) - 1 integer products."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        inv = CycElem.from_polynomial(self.order, _poly_inverse_mod_phi(self.nums, self.order))
-        return inv * self.den
+        c = CycElem.one(self.order)
+        for k in units(self.order)[1:]:
+            c = c * self.galois(k)
+        return c / (self * c).rational_value()
 
     # -- field maps --------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .arith import is_prime
 from .characters import enumerate_characters, gauss_sum
@@ -33,7 +33,7 @@ from .coordinates import (
     direct_sum_float,
     reconstruct,
 )
-from .cotangent import cotangent_number, icot_power, icot_value
+from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem, to_common_order
 from .series import (
     bernoulli_conv_coeff_from_series,
@@ -259,11 +259,14 @@ def suite_float_crosscheck(config: SuiteConfig) -> SuiteResult:
 
 def suite_reconstruction(config: SuiteConfig) -> SuiteResult:
     """Round trip a -> coordinates -> a for 1, i*cot, its powers, and
-    cotangent numbers, over n <= recon_n_max."""
+    cotangent numbers, over n <= recon_n_max.  i*cot enters as the field
+    quotient (1 + zeta_n)/(1 - zeta_n), not as icot_value's integer sum,
+    so the sweep also runs CycElem.inverse."""
     rec = _Recorder("reconstruction")
     for n in range(2, config.recon_n_max + 1):
         chars = enumerate_characters(n)
-        elements = [("one", CycElem.one(n)), ("icot", icot_value(n))]
+        z = CycElem.zeta(n)
+        elements = [("one", CycElem.one(n)), ("icot", (1 + z) / (1 - z))]
         elements += [
             ("icot_power_%d" % r, icot_power(r, n))
             for r in range(2, config.recon_r_max + 1)
@@ -340,32 +343,32 @@ def run_suites(config: SuiteConfig) -> list[SuiteResult]:
 def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> SuiteConfig:
     """A SuiteConfig with the given fields replaced, values coerced from
     strings where necessary (used by the CLI and its config files)."""
-    cfg = base or SuiteConfig()
     coerced = {}
-    types = {f.name: f for f in fields(SuiteConfig)}
+    types = get_type_hints(SuiteConfig)
     for key, value in overrides.items():
         if key not in types:
             raise ValueError("unknown config key %r" % key)
-        current = getattr(cfg, key)
         if isinstance(value, str):
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            elif isinstance(current, tuple):
-                parts = [p.strip() for p in value.split(",") if p.strip()]
-                value = tuple(int(p) if p.isdigit() else p for p in parts)
+            # int, float, or a comma-separated tuple of one element type
+            kind = types[key]
+            if get_origin(kind) is tuple:
+                item = get_args(kind)[0]
+                value = tuple(item(p.strip()) for p in value.split(",") if p.strip())
+            else:
+                value = kind(value)
         coerced[key] = value
-    cfg = replace(cfg, **coerced)
+    cfg = replace(base or SuiteConfig(), **coerced)
     # a tolerance of inf, nan or <= 0 makes every float case pass or fail,
-    # and a negative range checks nothing, whatever the code computes
+    # and a negative range or an empty suite list checks nothing, whatever
+    # the code computes
     tol = cfg.float_tolerance
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("float_tolerance must be finite and positive, got %r" % tol)
+    if not cfg.suites:
+        raise ValueError("suites must name at least one suite")
     for f in fields(SuiteConfig):
         value = getattr(cfg, f.name)
-        if type(value) is int and value < 0:
-            raise ValueError("%s must not be negative, got %d" % (f.name, value))
+        for v in value if isinstance(value, tuple) else (value,):
+            if type(v) is int and v < 0:
+                raise ValueError("%s must not be negative, got %d" % (f.name, v))
     return cfg

@@ -252,10 +252,19 @@ def test_golden_json_output(capsys, name):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--n-max", "-1")],
+    [
+        ("coeff_bridge", "--tol", "inf"),
+        ("coeff_bridge", "--tol", "nan"),
+        ("coeff_bridge", "--tol", "0"),
+        ("coeff_bridge", "--tol", "-1"),
+        ("coeff_bridge", "--n-max", "-1"),
+        ("--set", "suites="),
+        ("primitive_closed_form", "--set", "eq_primitive_extra_moduli=-4"),
+        ("primitive_closed_form", "--set", "eq_primitive_extra_moduli=x"),
+    ],
 )
 def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
-    code, out, err = run_cli(capsys, "verify", "coeff_bridge", *flags)
+    code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

@@ -61,8 +61,8 @@ def test_definitional_rejects_order_mismatch():
 
 def test_gauss_inverse_shortcut_matches_euclid():
     # the definitional path multiplies by inverse(embed(tau(conj(chi)_f), L)),
-    # realized as chi(-1)/f * tau(chi_f); pin that against the extended
-    # Euclid inverse of the embedded Gauss sum
+    # realized as chi(-1)/f * tau(chi_f); pin that against the field
+    # inverse of the embedded Gauss sum
     for n, idx in ((4, 1), (5, 1), (5, 2), (7, 3), (12, 2)):
         chi = enumerate_characters(n)[idx]
         chif = chi.primitive_part()

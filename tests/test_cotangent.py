@@ -27,6 +27,15 @@ def test_icot_examples():
         icot_value(1)
 
 
+def test_icot_sum_is_field_quotient():
+    # the integer sum -1 - (2/n) sum_j j zeta^(jk) against the field
+    # division (1 + zeta^k)/(1 - zeta^k), which runs CycElem.inverse
+    for n in range(2, 61):
+        for k in units(n):
+            z = CycElem.zeta(n, k)
+            assert icot_value(n, k) == (1 + z) / (1 - z)
+
+
 def test_icot_numeric():
     for n in range(2, 20):
         for k in units(n):

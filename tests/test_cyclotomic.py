@@ -213,6 +213,17 @@ def test_inverse_of_mul_is_identity(a):
         assert a * a.inverse() == CycElem.one(a.order)
 
 
+@pytest.mark.parametrize("N", [1, 2, 47, 105, 211])
+def test_inverse_of_dense_elements(N):
+    # dense coefficients in [-9, 9]; at N = 1 and 2 there is no conjugate
+    # to multiply, and the inverse is that of a rational
+    rng = random.Random(N)
+    a = CycElem(N, [rng.randint(-9, 9) for _ in range(euler_phi(N) - 1)] + [rng.randint(1, 9)])
+    inv = a.inverse()
+    assert a * inv == CycElem.one(N)
+    assert inv.inverse() == a
+
+
 @settings(max_examples=40, deadline=None)
 @given(element_pairs())
 def test_embed_is_ring_homomorphism(pair):

@@ -77,6 +77,9 @@ def test_config_overrides_coerce_strings():
         {"float_tolerance": "-1"},
         {"n_max": -1},
         {"recon_r_max": "-1"},
+        {"suites": ""},
+        {"suites": ()},
+        {"eq_primitive_extra_moduli": "4,-5"},
     ],
 )
 def test_config_rejects_checks_that_cannot_fail(override):
