@@ -116,7 +116,9 @@ def _cmd_coord(args) -> int:
     chars = enumerate_characters(args.n)
     if args.all_chars:
         # with --all-chars the single positional after n is the power r
-        if args.r is None and args.char_index is not None:
+        if args.char_index is not None and args.r is not None:
+            raise ValueError("--all-chars takes n and r, not a character index")
+        if args.char_index is not None:
             args.r, args.char_index = args.char_index, None
         targets = chars
     else:
@@ -149,8 +151,6 @@ def _cmd_coord(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     if args.kind == "check":
-        if args.r < 1:
-            raise ValueError("coeffs check needs r >= 1, got %d" % args.r)
         cfg = SuiteConfig(suites=("coeff_bridge",), bridge_r_max=args.r)
         result = run_suites(cfg)[0]
         print("coeff_bridge: %d cases, %d failures" % (result.cases, len(result.failures)))

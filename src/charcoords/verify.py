@@ -1,10 +1,14 @@
 """Identity-verification suites binding all modules together.
 
 Each suite sweeps a configurable range of moduli, characters and exponents
-and compares two independently computed values, recording every mismatch
-(failure-fast is off so convention bugs surface in full).  Exact suites
-never consult floating point; the float suite checks only complex_eval
-against direct double-precision summation, never the exact paths.
+and yields a stream of cases (inputs, lhs, rhs, ok): two independently
+computed values, and ok None when the check is lhs == rhs.  One recording
+loop counts the cases, times the suite and records every mismatch
+(failure-fast is off so convention bugs surface in full); a suite with no
+case is refused.  The three closed-form suites share one sweep against the
+definitional coordinate.  Exact suites never consult floating point; the
+float suite checks only complex_eval against direct double-precision
+summation, never the exact paths.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -12,10 +16,11 @@ carries the inputs needed to reproduce it from the CLI.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, get_args, get_origin, get_type_hints
 
 from .arith import is_prime
 from .characters import enumerate_characters, gauss_sum
@@ -118,29 +123,60 @@ def _value_str(v) -> str:
     return repr(v)
 
 
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures: list[CaseFailure] = []
-        self.t0 = time.perf_counter()
-
-    def check(self, inputs: dict, lhs, rhs, ok=None) -> None:
-        self.cases += 1
-        if ok is None:
-            ok = lhs == rhs
-        if not ok:
-            self.failures.append(
-                CaseFailure(self.name, dict(inputs), _value_str(lhs), _value_str(rhs))
-            )
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(
-            self.name, self.cases, self.failures, time.perf_counter() - self.t0
-        )
+SUITES: dict[str, Callable[[SuiteConfig], SuiteResult]] = {}
 
 
-def suite_power_closed_form(config: SuiteConfig) -> SuiteResult:
+def _recorded(cases_of: Callable[[SuiteConfig], Iterable[tuple]]):
+    """Turn a generator of cases into a suite, registered in SUITES under
+    the function's name without its "suite_" prefix: the one recording loop.
+
+    Each case is (inputs, lhs, rhs, ok), with ok None when the check is
+    lhs == rhs.  A suite that ends with no case at all checks nothing, so
+    it is refused.
+    """
+    name = cases_of.__name__.removeprefix("suite_")
+
+    @functools.wraps(cases_of)
+    def run(config: SuiteConfig) -> SuiteResult:
+        t0 = time.perf_counter()
+        cases = 0
+        failures: list[CaseFailure] = []
+        for inputs, lhs, rhs, ok in cases_of(config):
+            cases += 1
+            if not (lhs == rhs if ok is None else ok):
+                lhs, rhs = _value_str(lhs), _value_str(rhs)
+                failures.append(CaseFailure(name, inputs, lhs, rhs))
+        if not cases:
+            raise ValueError("suite %s has no case in its configured ranges" % name)
+        return SuiteResult(name, cases, failures, time.perf_counter() - t0)
+
+    SUITES[name] = run
+    return run
+
+
+def _closed_vs_definitional(moduli, degrees, key, element, closed, methods,
+                            primitive=False):
+    """Closed form vs definitional coordinate of element(d, n), for every
+    modulus n, degree d (named key in the inputs) and character mod n.
+
+    Each element's purity (real for even d, imaginary for odd d) is checked
+    first, unless primitive, which keeps only the characters of conductor n.
+    """
+    for n in moduli:
+        chars = enumerate_characters(n)
+        for d in degrees:
+            a = element(d, n)
+            if not primitive:
+                mirror = a if d % 2 == 0 else -a
+                yield {"n": n, key: d, "purity": "conjugate"}, a.conjugate(), mirror, None
+            for idx, chi in enumerate(chars):
+                if not primitive or chi.conductor() == n:
+                    yield ({"n": n, "char_index": idx, key: d, "methods": methods},
+                           closed(chi, d), coord_definitional(chi, a), None)
+
+
+@_recorded
+def suite_power_closed_form(config: SuiteConfig):
     """Closed form vs definitional coordinate for (i cot(pi/n))^r, all
     characters mod n <= n_max, r <= r_max.
 
@@ -148,85 +184,44 @@ def suite_power_closed_form(config: SuiteConfig) -> SuiteResult:
     test elements' purity (real for even r, imaginary for odd) is asserted
     along the way.
     """
-    rec = _Recorder("power_closed_form")
-    for n in range(2, config.n_max + 1):
-        chars = enumerate_characters(n)
-        for r in range(1, config.r_max + 1):
-            a = icot_power(r, n)
-            mirror = a if r % 2 == 0 else -a
-            rec.check({"n": n, "r": r, "purity": "conjugate"}, a.conjugate(), mirror)
-            for idx, chi in enumerate(chars):
-                lhs = coord_power_closed(chi, r)
-                rhs = coord_definitional(chi, a)
-                rec.check(
-                    {"n": n, "char_index": idx, "r": r, "methods": "closed/def"},
-                    lhs,
-                    rhs,
-                )
-    return rec.result()
+    yield from _closed_vs_definitional(
+        range(2, config.n_max + 1), range(1, config.r_max + 1), "r",
+        icot_power, coord_power_closed, "closed/def")
 
 
-def suite_cotnum_closed_form(config: SuiteConfig) -> SuiteResult:
+@_recorded
+def suite_cotnum_closed_form(config: SuiteConfig):
     """Closed form vs definitional coordinate for cotangent numbers
     i^j cot_(j-1)(pi/n), all characters mod n <= n_max, j <= j_max."""
-    rec = _Recorder("cotnum_closed_form")
-    for n in range(2, config.n_max + 1):
-        chars = enumerate_characters(n)
-        for j in range(1, config.j_max + 1):
-            a = cotangent_number(j, n)
-            mirror = a if j % 2 == 0 else -a
-            rec.check({"n": n, "j": j, "purity": "conjugate"}, a.conjugate(), mirror)
-            for idx, chi in enumerate(chars):
-                lhs = coord_cotangent_closed(chi, j)
-                rhs = coord_definitional(chi, a)
-                rec.check(
-                    {"n": n, "char_index": idx, "j": j, "methods": "cotnum/def"},
-                    lhs,
-                    rhs,
-                )
-    return rec.result()
+    yield from _closed_vs_definitional(
+        range(2, config.n_max + 1), range(1, config.j_max + 1), "j",
+        cotangent_number, coord_cotangent_closed, "cotnum/def")
 
 
-def suite_coeff_bridge(config: SuiteConfig) -> SuiteResult:
+@_recorded
+def suite_coeff_bridge(config: SuiteConfig):
     """cot_power_coeff(r, j) == coeff_bridge(r, j) exactly, for
     1 <= j <= r <= bridge_r_max of equal parity."""
-    rec = _Recorder("coeff_bridge")
     for r in range(1, config.bridge_r_max + 1):
         for j in range(1, r + 1):
             if (r - j) % 2 == 0:
-                rec.check(
-                    {"r": r, "j": j},
-                    cot_power_coeff(r, j),
-                    coeff_bridge(r, j),
-                )
-    return rec.result()
+                yield {"r": r, "j": j}, cot_power_coeff(r, j), coeff_bridge(r, j), None
 
 
-def suite_primitive_closed_form(config: SuiteConfig) -> SuiteResult:
+@_recorded
+def suite_primitive_closed_form(config: SuiteConfig):
     """Bernoulli-convolution closed form vs definitional coordinate for
     primitive characters: prime moduli <= eq_primitive_n_max plus the extra
     moduli (4 by default), r <= eq_primitive_r_max."""
-    rec = _Recorder("primitive_closed_form")
     moduli = [n for n in range(2, config.eq_primitive_n_max + 1) if is_prime(n)]
     moduli += [n for n in config.eq_primitive_extra_moduli if n not in moduli]
-    for n in sorted(moduli):
-        chars = enumerate_characters(n)
-        for r in range(1, config.eq_primitive_r_max + 1):
-            a = icot_power(r, n)
-            for idx, chi in enumerate(chars):
-                if chi.conductor() != n:
-                    continue
-                lhs = coord_power_primitive(chi, r)
-                rhs = coord_definitional(chi, a)
-                rec.check(
-                    {"n": n, "char_index": idx, "r": r, "methods": "prim/def"},
-                    lhs,
-                    rhs,
-                )
-    return rec.result()
+    yield from _closed_vs_definitional(
+        sorted(moduli), range(1, config.eq_primitive_r_max + 1), "r",
+        icot_power, coord_power_primitive, "prim/def", primitive=True)
 
 
-def suite_float_crosscheck(config: SuiteConfig) -> SuiteResult:
+@_recorded
+def suite_float_crosscheck(config: SuiteConfig):
     """|direct float character sum - complex_eval(y * tau)| < tolerance.
 
     The right side is the exact product of the coordinate
@@ -235,7 +230,6 @@ def suite_float_crosscheck(config: SuiteConfig) -> SuiteResult:
     (and the defining identities) to an independent double-precision
     computation.  This suite never adjudicates the exact paths.
     """
-    rec = _Recorder("float_crosscheck")
     tol = config.float_tolerance
     for n in range(2, config.float_n_max + 1):
         chars = enumerate_characters(n)
@@ -248,21 +242,16 @@ def suite_float_crosscheck(config: SuiteConfig) -> SuiteResult:
                 ye, taue = to_common_order(y, tau)
                 right = (ye * taue).complex_eval()
                 err = abs(left - right)
-                rec.check(
-                    {"n": n, "char_index": idx, "r": r, "abs_error": err},
-                    left,
-                    right,
-                    ok=err < tol,
-                )
-    return rec.result()
+                inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
+                yield inputs, left, right, err < tol
 
 
-def suite_reconstruction(config: SuiteConfig) -> SuiteResult:
+@_recorded
+def suite_reconstruction(config: SuiteConfig):
     """Round trip a -> coordinates -> a for 1, i*cot, its powers, and
     cotangent numbers, over n <= recon_n_max.  i*cot enters as the field
     quotient (1 + zeta_n)/(1 - zeta_n), not as icot_value's integer sum,
     so the sweep also runs CycElem.inverse."""
-    rec = _Recorder("reconstruction")
     for n in range(2, config.recon_n_max + 1):
         chars = enumerate_characters(n)
         z = CycElem.zeta(n)
@@ -277,57 +266,31 @@ def suite_reconstruction(config: SuiteConfig) -> SuiteResult:
         ]
         for label, a in elements:
             coords = {chi: coord_definitional(chi, a) for chi in chars}
-            back = reconstruct(coords, n)
-            rec.check({"n": n, "element": label}, back, a)
-    return rec.result()
+            yield {"n": n, "element": label}, reconstruct(coords, n), a, None
 
 
-def suite_series_oracle(config: SuiteConfig) -> SuiteResult:
+@_recorded
+def suite_series_oracle(config: SuiteConfig):
     """Series-level checks: the Stirling derivative identity, the
     cotangent-power decomposition, and both independent oracles for the
     Bernoulli-convolution coefficients."""
-    rec = _Recorder("series_oracle")
     for k in range(1, config.stirling_k_max + 1):
-        rec.check(
-            {"identity": "stirling", "k": k, "order": 2 * k + 4},
-            True,
-            True,
-            ok=verify_stirling_identity(k, 2 * k + 4),
-        )
+        inputs = {"identity": "stirling", "k": k, "order": 2 * k + 4}
+        yield inputs, True, True, verify_stirling_identity(k, 2 * k + 4)
     for r in range(1, config.decomposition_r_max + 1):
-        rec.check(
-            {"identity": "power_decomposition", "r": r, "order": 2 * r + 4},
-            True,
-            True,
-            ok=verify_power_decomposition(r, 2 * r + 4),
-        )
+        inputs = {"identity": "power_decomposition", "r": r, "order": 2 * r + 4}
+        yield inputs, True, True, verify_power_decomposition(r, 2 * r + 4)
     for r in range(1, config.d_oracle_r_max + 1):
         for j in range(1, r + 1):
-            rec.check(
-                {"identity": "conv_vs_bruteforce", "r": r, "j": j},
-                bernoulli_conv_coeff(r, j),
-                bernoulli_conv_coeff_bruteforce(r, j),
-            )
+            yield ({"identity": "conv_vs_bruteforce", "r": r, "j": j},
+                   bernoulli_conv_coeff(r, j), bernoulli_conv_coeff_bruteforce(r, j), None)
     for r in range(1, config.d_series_r_max + 1):
         for j in range(1, r + 1):
             if (r - j) % 2 == 0:
-                rec.check(
-                    {"identity": "conv_vs_series", "r": r, "j": j},
-                    bernoulli_conv_coeff(r, j),
-                    bernoulli_conv_coeff_from_series(r, j),
-                )
-    return rec.result()
+                yield ({"identity": "conv_vs_series", "r": r, "j": j},
+                       bernoulli_conv_coeff(r, j), bernoulli_conv_coeff_from_series(r, j),
+                       None)
 
-
-SUITES: dict[str, Callable[[SuiteConfig], SuiteResult]] = {
-    "power_closed_form": suite_power_closed_form,
-    "cotnum_closed_form": suite_cotnum_closed_form,
-    "coeff_bridge": suite_coeff_bridge,
-    "primitive_closed_form": suite_primitive_closed_form,
-    "float_crosscheck": suite_float_crosscheck,
-    "reconstruction": suite_reconstruction,
-    "series_oracle": suite_series_oracle,
-}
 
 
 def run_suites(config: SuiteConfig) -> list[SuiteResult]:
@@ -351,16 +314,19 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
         if isinstance(value, str):
             # int, float, or a comma-separated tuple of one element type
             kind = types[key]
-            if get_origin(kind) is tuple:
-                item = get_args(kind)[0]
-                value = tuple(item(p.strip()) for p in value.split(",") if p.strip())
-            else:
-                value = kind(value)
+            try:
+                if get_origin(kind) is tuple:
+                    item = get_args(kind)[0]
+                    value = tuple(item(p.strip()) for p in value.split(",") if p.strip())
+                else:
+                    value = kind(value)
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (key, exc)) from None
         coerced[key] = value
     cfg = replace(base or SuiteConfig(), **coerced)
     # a tolerance of inf, nan or <= 0 makes every float case pass or fail,
     # and a negative range or an empty suite list checks nothing, whatever
-    # the code computes
+    # the code computes; a modulus below 2 has no characters to sweep
     tol = cfg.float_tolerance
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("float_tolerance must be finite and positive, got %r" % tol)
@@ -371,4 +337,7 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
         for v in value if isinstance(value, tuple) else (value,):
             if type(v) is int and v < 0:
                 raise ValueError("%s must not be negative, got %d" % (f.name, v))
+    if any(n < 2 for n in cfg.eq_primitive_extra_moduli):
+        raise ValueError("eq_primitive_extra_moduli must hold moduli >= 2, got %s"
+                         % ",".join(map(str, cfg.eq_primitive_extra_moduli)))
     return cfg

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,14 @@ def test_coord_all_chars(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["results"]) == 4
+
+
+def test_coord_all_chars_refuses_a_character_index(capsys):
+    # the index would be echoed in the inputs while every character is computed
+    code, out, err = run_cli(capsys, "coord", "5", "1", "3", "--all-chars")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_coord_bad_index(capsys):
@@ -261,6 +270,13 @@ def test_golden_json_output(capsys, name):
         ("--set", "suites="),
         ("primitive_closed_form", "--set", "eq_primitive_extra_moduli=-4"),
         ("primitive_closed_form", "--set", "eq_primitive_extra_moduli=x"),
+        # ranges that leave a suite with no case at all
+        ("power_closed_form", "--n-max", "1"),
+        ("power_closed_form", "--r-max", "0"),
+        ("float_crosscheck", "--set", "float_n_max=1"),
+        ("reconstruction", "--set", "recon_n_max=0"),
+        ("series_oracle", "--set", "stirling_k_max=0", "--set", "decomposition_r_max=0",
+         "--set", "d_oracle_r_max=0", "--set", "d_series_r_max=0"),
     ],
 )
 def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
@@ -268,6 +284,39 @@ def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_max", "x"),
+        ("float_tolerance", "abc"),
+        ("eq_primitive_extra_moduli", "4,x"),
+        ("eq_primitive_extra_moduli", "1"),
+    ],
+)
+def test_verify_config_errors_name_the_key(capsys, monkeypatch, key, value):
+    # refused before any suite runs, whichever suites come first
+    monkeypatch.delenv("CHARCOORDS_CONFIG", raising=False)
+    code, out, err = run_cli(capsys, "verify", "--set", "%s=%s" % (key, value))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert key in err
+
+
+def _without_seconds(report: str) -> str:
+    return re.sub(r',\n *"seconds": [^\n]*', "", report)
+
+
+def test_verify_default_report_matches_golden(capsys, monkeypatch):
+    # default ranges: pins the config echo and the seven case counts
+    # (1836, 1836, 110, 415, 3092, 171, 97)
+    monkeypatch.delenv("CHARCOORDS_CONFIG", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "verify_default.json"
+    assert _without_seconds(out) == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,8 @@ def test_config_overrides_coerce_strings():
         {"suites": ""},
         {"suites": ()},
         {"eq_primitive_extra_moduli": "4,-5"},
+        {"eq_primitive_extra_moduli": "1"},
+        {"eq_primitive_extra_moduli": (4, 0)},
     ],
 )
 def test_config_rejects_checks_that_cannot_fail(override):
