@@ -91,13 +91,13 @@ def _cmd_chars(args) -> int:
 def _coord_for(chi, args) -> CoordReport:
     method = args.method
     if method == "cotnum":
-        if args.j is None:
-            raise ValueError("--method cotnum needs --j")
+        if args.j is None or args.r is not None:
+            raise ValueError("--method cotnum needs --j and no r")
         value = coord_cotangent_closed(chi, args.j)
         return CoordReport(chi.modulus, chi.index, args.j, "cotnum_closed", value,
                            value.complex_eval())
-    if args.r is None:
-        raise ValueError("method %r needs the positional r" % method)
+    if args.r is None or args.j is not None:
+        raise ValueError("method %r needs the positional r and no --j" % method)
     if method == "def":
         value = coord_definitional(chi, icot_power(args.r, chi.modulus))
         name = "definitional"
@@ -138,11 +138,11 @@ def _cmd_coord(args) -> int:
         "method": args.method,
         "all_chars": args.all_chars,
     }
-    lines = [
+    lines = (
         "chi index %d (mod %d), degree %d, method %s: %s"
         % (rep.char_index, rep.modulus, rep.degree, rep.method, _cyc_text(rep.value))
         for rep in reports
-    ]
+    )
     _emit(args, "coord", inputs, [rep.to_json_dict() for rep in reports], lines)
     return 0
 
@@ -172,13 +172,8 @@ def _cmd_cot(args) -> int:
         value = icot_power(args.power, args.n)
         label = {"kind": "icot_power", "r": args.power}
     inputs = {"n": args.n, **label}
-    _emit(
-        args,
-        "cot",
-        inputs,
-        {"value": value.to_json_dict()},
-        ["%s" % _cyc_text(value)],
-    )
+    lines = (_cyc_text(v) for v in [value])
+    _emit(args, "cot", inputs, {"value": value.to_json_dict()}, lines)
     return 0
 
 
@@ -197,10 +192,10 @@ def _cmd_bernoulli(args) -> int:
         chi = chars[index].primitive_part()
         value = generalized_bernoulli(args.r, chi)
         inputs = {"r": args.r, "char": [n, index], "conductor": chi.modulus}
-        lines = [
+        lines = (
             "B_{%d, chi} for chi = primitive part of character %d mod %d: %s"
-            % (args.r, index, n, _cyc_text(value))
-        ]
+            % (args.r, index, n, _cyc_text(v)) for v in [value]
+        )
     _emit(args, "bernoulli", inputs, {"value": value.to_json_dict()}, lines)
     return 0
 
@@ -382,7 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: keep the final flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
     except (TruncationError, FieldMembershipError) as exc:
         # internal consistency failures; TruncationError is a ValueError
         print("internal error: %s" % exc, file=sys.stderr)

@@ -260,17 +260,13 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
     if missing:
         raise ValueError("coordinates missing for %d characters" % len(missing))
     L = n
-    den = 1
     for chi in chars:
         L = math.lcm(L, coords[chi].order, chi.order)
-        den = math.lcm(den, coords[chi].den)
+    embedded = {chi: coords[chi].embed(L) for chi in chars}
+    den = math.lcm(*(y.den for y in embedded.values()))
     vec = [0] * L
-    for chi in chars:
-        y = coords[chi]
-        stride = L // y.order
-        scale = den // y.den
-        dense = [0] * L
-        dense[: stride * len(y.nums) : stride] = [c * scale for c in y.nums]
+    for chi, y in embedded.items():
+        dense = [c * (den // y.den) for c in y.nums] + [0] * (L - len(y.nums))
         taubar = chi.conjugate().primitive_part()
         prod = _times_gauss(dense, _gauss_support(taubar, L), L)
         vec = list(map(operator.add, vec, prod))

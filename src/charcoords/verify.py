@@ -7,8 +7,9 @@ loop counts the cases, times the suite and records every mismatch
 (failure-fast is off so convention bugs surface in full); a suite with no
 case is refused.  The three closed-form suites share one sweep against the
 definitional coordinate.  Exact suites never consult floating point; the
-float suite checks only complex_eval against direct double-precision
-summation, never the exact paths.
+float suite checks only complex_eval, never the exact paths: it compares
+a direct double-precision sum with the product of two doubles, the
+coordinate and the Gauss sum, each evaluated in its own field.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -39,7 +40,7 @@ from .coordinates import (
     reconstruct,
 )
 from .cotangent import cotangent_number, icot_power
-from .cyclotomic import CycElem, to_common_order
+from .cyclotomic import CycElem
 from .series import (
     bernoulli_conv_coeff_from_series,
     verify_power_decomposition,
@@ -222,13 +223,13 @@ def suite_primitive_closed_form(config: SuiteConfig):
 
 @_recorded
 def suite_float_crosscheck(config: SuiteConfig):
-    """|direct float character sum - complex_eval(y * tau)| < tolerance.
+    """|direct float character sum - complex_eval(y) * complex_eval(tau)| < tolerance.
 
-    The right side is the exact product of the coordinate
-    y(conj(chi) | (i cot)^r) with tau(chi_f), formed in the common
-    cyclotomic field and then evaluated once; the match binds complex_eval
-    (and the defining identities) to an independent double-precision
-    computation.  This suite never adjudicates the exact paths.
+    The right side multiplies two doubles: the coordinate
+    y(conj(chi) | (i cot)^r) evaluated in Q(zeta_m) and tau(chi_f) in
+    Q(zeta_lcm(f, m)), never their exact product.  The match binds
+    complex_eval (and the defining identities) to an independent
+    double-precision computation; it never adjudicates the exact paths.
     """
     tol = config.float_tolerance
     for n in range(2, config.float_n_max + 1):
@@ -238,9 +239,7 @@ def suite_float_crosscheck(config: SuiteConfig):
             for idx, chi in enumerate(chars):
                 left = direct_sum_float(chi, r)
                 y = coord_definitional(chi.conjugate(), a)
-                tau = gauss_sum(chi.primitive_part())
-                ye, taue = to_common_order(y, tau)
-                right = (ye * taue).complex_eval()
+                right = y.complex_eval() * gauss_sum(chi.primitive_part()).complex_eval()
                 err = abs(left - right)
                 inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
                 yield inputs, left, right, err < tol

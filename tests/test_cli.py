@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +84,52 @@ def test_coord_all_chars_refuses_a_character_index(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # cotnum computes j and ignores r; def and closed compute r and ignore --j
+        ("coord", "5", "1", "3", "--method", "cotnum", "--j", "2"),
+        ("coord", "5", "1", "3", "--j", "2"),
+        ("coord", "5", "1", "3", "--method", "closed", "--j", "2"),
+        ("coord", "5", "3", "--all-chars", "--method", "cotnum", "--j", "2"),
+    ],
+)
+def test_coord_refuses_an_argument_its_method_ignores(capsys, argv):
+    # the ignored value would be echoed in the inputs next to the computed one
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_json_mode_renders_no_text(capsys, monkeypatch):
+    def no_text(value):
+        raise AssertionError("text rendered under --format json")
+
+    monkeypatch.setattr(cli, "_cyc_text", no_text)
+    for argv in (("coord", "5", "1", "3"), ("cot", "8", "--power", "2"),
+                 ("bernoulli", "1", "--char", "4", "1")):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]
+
+
+def test_closed_stdout_exits_as_sigpipe():
+    # a reader that stops early (``| head -c 20``) is not a usage error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charcoords.cli", "chars", "3000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(20).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_coord_bad_index(capsys):

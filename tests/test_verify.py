@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from charcoords import bernoulli, characters, combinatorics, coordinates, cotangent
-from charcoords import cyclotomic, series
+from charcoords import cyclotomic, series, verify
 from charcoords.cyclotomic import CycElem
 from charcoords.memo import clear_memos
 from charcoords.verify import (
@@ -87,6 +87,27 @@ def test_config_overrides_coerce_strings():
 def test_config_rejects_checks_that_cannot_fail(override):
     with pytest.raises(ValueError):
         config_with_overrides(MINI, **override)
+
+
+@pytest.mark.parametrize("fault", ["conjugate_gauss_sum", "conjugate_root"])
+def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
+    """A wrong factor or a wrong evaluation shows as a failure far above the
+    tolerance: each case's right side multiplies two evaluated factors."""
+    if fault == "conjugate_gauss_sum":
+        # tau(conj(chi_f)) in place of tau(chi_f)
+        monkeypatch.setattr(verify, "gauss_sum",
+                            lambda chi: characters.gauss_sum(chi.conjugate()))
+    else:
+        # every element evaluated at the conjugate root exp(-2 pi i/N)
+        evaluate = CycElem.complex_eval
+        monkeypatch.setattr(CycElem, "complex_eval",
+                            lambda self, precision=53: evaluate(self, precision).conjugate())
+    cfg = config_with_overrides(MINI, suites=("float_crosscheck",))
+    (result,) = run_suites(cfg)
+    assert result.failures
+    errors = [f.inputs["abs_error"] for f in result.failures]
+    assert min(errors) > cfg.float_tolerance
+    assert max(errors) > 1.0
 
 
 def test_result_json_shape():
