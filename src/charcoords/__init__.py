@@ -47,7 +47,6 @@ from .cotangent import (
 from .cyclotomic import (
     CycElem,
     FieldMembershipError,
-    Rat,
     cyclotomic_polynomial,
     project_to_subfield,
     to_common_order,
@@ -97,7 +96,6 @@ __all__ = [
     "icot_value",
     "CycElem",
     "FieldMembershipError",
-    "Rat",
     "cyclotomic_polynomial",
     "project_to_subfield",
     "to_common_order",

@@ -1,8 +1,12 @@
-"""Small integer helpers: factorization, totients, divisors, unit lists."""
+"""Small integer helpers: factorization, totients, divisors, unit lists, and
+the package's one polynomial product, of integer coefficient lists
+(_schoolbook_mul) cleared of denominators onto one (_scaled_ints)."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Sequence
 
 from .memo import memo
 
@@ -53,3 +57,22 @@ def units(n: int) -> tuple[int, ...]:
     if n == 1:
         return (1,)
     return tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
+
+
+def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists, term by term."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return prod
+
+
+def _scaled_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Clear denominators: returns (integer vector, common denominator)."""
+    den = 1
+    for c in coeffs:
+        den = math.lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in coeffs], den

@@ -11,6 +11,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _scaled_ints
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem
 from .memo import memo
@@ -83,12 +84,9 @@ def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
     if chi.conductor() != f:
         raise ValueError("generalized_bernoulli needs a primitive character")
     m = chi.order
-    coeffs = bernoulli_polynomial(r).coeffs
-    D = math.lcm(*(c.denominator for c in coeffs))
+    ints, D = _scaled_ints(bernoulli_polynomial(r).coeffs)
     # D * f^r * B_r(x/f) has integer coefficients; Horner wants the highest first
-    h = [
-        c.numerator * (D // c.denominator) * f ** (r - i) for i, c in enumerate(coeffs)
-    ][::-1]
+    h = [c * f ** (r - i) for i, c in enumerate(ints)][::-1]
     acc = [0] * m
     for k, e in chi.unit_values():
         v = 0

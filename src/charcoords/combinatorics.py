@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _scaled_ints, _schoolbook_mul
 from .bernoulli import bernoulli_number
 from .memo import memo
 
@@ -71,19 +72,16 @@ def cot_power_coeff(r: int, j: int) -> Fraction:
 
 @memo
 def _conv_power(r: int) -> tuple[Fraction, ...]:
-    """The r-th power of sum_m B_{2m} z^m/(2m)!, through z^(r//2)."""
+    """The r-th power of sum_m B_{2m} z^m/(2m)!, through z^(r//2): the base
+    as integers over one denominator den, r truncated integer products,
+    and one division by den^r at the end."""
     terms = r // 2 + 1
     base = [bernoulli_number(2 * m) / math.factorial(2 * m) for m in range(terms)]
-    power = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    base, den = _scaled_ints(base)
+    power = [1]
     for _ in range(r):
-        nxt = [Fraction(0)] * terms
-        for i, pi in enumerate(power):
-            if pi:
-                for k in range(terms - i):
-                    if base[k]:
-                        nxt[i + k] += pi * base[k]
-        power = nxt
-    return tuple(power)
+        power = _schoolbook_mul(power, base)[:terms]
+    return tuple(Fraction(c, den**r) for c in power)
 
 
 def bernoulli_conv_coeff(r: int, j: int) -> Fraction:

@@ -22,6 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 
+from .arith import _schoolbook_mul
 from .cyclotomic import CycElem
 from .memo import memo
 
@@ -54,11 +55,7 @@ def cot_derivative_poly(l: int) -> CotDerivPoly:
             while len(_COT_POLYS) <= l:
                 p = _COT_POLYS[-1]
                 dp = [i * c for i, c in enumerate(p)][1:]  # p'
-                nxt = [0] * (len(dp) + 2)
-                for i, c in enumerate(dp):  # -(1 + y^2) p'
-                    nxt[i] -= c
-                    nxt[i + 2] -= c
-                _COT_POLYS.append(tuple(nxt))
+                _COT_POLYS.append(tuple(_schoolbook_mul((-1, 0, -1), dp)))  # -(1 + y^2) p'
     return CotDerivPoly(l, _COT_POLYS[l])
 
 
@@ -79,18 +76,13 @@ def icot_value(n: int, k: int = 1) -> CycElem:
 
 @memo
 def icot_power(r: int, n: int) -> CycElem:
-    """(i*cot(pi/n))^r, exact; by squaring, so the recursion is O(log r)
-    deep and each call makes one product."""
+    """(i*cot(pi/n))^r, exact, by the square-and-multiply loop of
+    CycElem.__pow__: O(log r) products and no recursion."""
     if r < 1:
         raise ValueError("icot_power needs r >= 1")
     if n < 2:
         raise ValueError("icot_power needs n >= 2")
-    if r == 1:
-        return icot_value(n)
-    if r % 2:
-        return icot_power(r - 1, n) * icot_value(n)
-    half = icot_power(r // 2, n)
-    return half * half
+    return icot_value(n) ** r
 
 
 def cotangent_number(j: int, n: int) -> CycElem:

@@ -63,13 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import divisors, euler_phi, prime_factors, units
+from .arith import _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
 from .memo import memo
-
-# All rational scalars in this package are arbitrary-precision fractions
-# in lowest terms with positive denominator, which is exactly what the
-# standard library type guarantees.
-Rat = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -172,17 +167,6 @@ def _schoolbook_reduce(coeffs: Sequence[int], N: int) -> list[int]:
     if len(v) < d:
         v.extend([0] * (d - len(v)))
     return v
-
-
-def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product of two integer coefficient lists, term by term."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +285,6 @@ def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
     if min(len(coeffs) - euler_phi(N), len(_phi_terms(N))) >= _KRONECKER_MIN:
         return _kronecker_reduce(coeffs, None, N)
     return _schoolbook_reduce(coeffs, N)
-
-
-def _scaled_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: returns (integer vector, common denominator)."""
-    den = 1
-    for c in coeffs:
-        den = math.lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ The series here act as an oracle that is independent of all cyclotomic
 arithmetic: the expansion coefficients produced by
 :mod:`charcoords.combinatorics` are checked against truncated-series
 identities in the variable t, with every i-power carried as an explicit
-rational sign.
+rational sign.  Nothing here imports :mod:`charcoords.cyclotomic`; a
+product clears its factors' denominators and multiplies integer lists.
 
 A :class:`LaurentSeries` knows its coefficients for exponents
 ``low .. prec-1`` and refuses to answer beyond ``prec`` (raising
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _scaled_ints, _schoolbook_mul
 from .combinatorics import cot_power_coeff, stirling_first_unsigned
 
 
@@ -123,16 +125,10 @@ class LaurentSeries:
             return LaurentSeries(prec, (), prec)
         low = self.low + other.low
         prec = min(self.low + other.prec, other.low + self.prec)
-        out = [Fraction(0)] * (prec - low)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                ea = self.low + i
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        e = ea + other.low + j
-                        if e < prec:
-                            out[e - low] += a * b
-        return LaurentSeries(low, tuple(out), prec)
+        a, da = _scaled_ints(self.coeffs)
+        b, db = _scaled_ints(other.coeffs)
+        out = _schoolbook_mul(a, b)[: prec - low]
+        return LaurentSeries(low, tuple(Fraction(c, da * db) for c in out), prec)
 
     __rmul__ = __mul__
 

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, get_args, get_origin, get_type_hints
 from .arith import is_prime
 from .characters import enumerate_characters, gauss_sum
 from .combinatorics import (
+    BRUTEFORCE_LIMIT,
     bernoulli_conv_coeff,
     bernoulli_conv_coeff_bruteforce,
     coeff_bridge,
@@ -339,4 +340,7 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
     if any(n < 2 for n in cfg.eq_primitive_extra_moduli):
         raise ValueError("eq_primitive_extra_moduli must hold moduli >= 2, got %s"
                          % ",".join(map(str, cfg.eq_primitive_extra_moduli)))
+    if cfg.d_oracle_r_max > BRUTEFORCE_LIMIT:
+        raise ValueError("d_oracle_r_max must be at most %d (the bruteforce oracle's"
+                         " limit), got %d" % (BRUTEFORCE_LIMIT, cfg.d_oracle_r_max))
     return cfg

@@ -342,6 +342,7 @@ def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
         ("float_tolerance", "abc"),
         ("eq_primitive_extra_moduli", "4,x"),
         ("eq_primitive_extra_moduli", "1"),
+        ("d_oracle_r_max", "13"),
     ],
 )
 def test_verify_config_errors_name_the_key(capsys, monkeypatch, key, value):

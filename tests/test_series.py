@@ -113,3 +113,32 @@ def test_mul_commutes_and_add_associates(xs, ys, low):
         assert ab.agrees_through(ba, e_max)
     s1, s2 = a + b, b + a
     assert s1.agrees_through(s2, min(s1.known_through, s2.known_through))
+
+
+_coeff_lists = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeff_lists, _coeff_lists, st.integers(-3, 3), st.integers(-3, 3))
+def test_mul_is_the_truncated_cauchy_product(xs, ys, la, lb):
+    a = LaurentSeries.from_terms(la, xs)
+    b = LaurentSeries.from_terms(lb, ys)
+    zero = LaurentSeries.from_terms(la, [F(0)] * len(xs))
+    for x, y in ((a, b), (zero, b), (b, zero)):
+        xy = x * y
+        assert xy.prec == min(x.low + y.prec, y.low + x.prec)
+        with pytest.raises(TruncationError):
+            xy.coefficient(xy.prec)
+    ab = a * b
+    for e in range(la + lb - 2, ab.prec):
+        cauchy = sum(
+            (xs[i] * ys[j] for i in range(len(xs)) for j in range(len(ys))
+             if la + i + lb + j == e),
+            F(0),
+        )
+        assert ab.coefficient(e) == cauchy
+    assert (zero * b).is_zero and (b * zero).is_zero
