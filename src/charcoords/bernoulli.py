@@ -7,17 +7,18 @@ Convention: B_1 = -1/2 throughout.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _scaled_ints
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem
-from .memo import memo
+from .memo import memo, recurrence
 
-_B_CACHE: list[Fraction] = [Fraction(1)]
-_B_LOCK = threading.Lock()  # growth must be serialized; reads are index-safe
+_bernoulli_row = recurrence(
+    lambda: Fraction(1),
+    lambda B: -sum(math.comb(len(B) + 1, i) * b for i, b in enumerate(B)) / (len(B) + 1),
+)
 
 
 def bernoulli_number(m: int) -> Fraction:
@@ -28,16 +29,7 @@ def bernoulli_number(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("bernoulli_number needs m >= 0")
-    if len(_B_CACHE) <= m:
-        with _B_LOCK:
-            while len(_B_CACHE) <= m:
-                k = len(_B_CACHE)
-                s = sum(
-                    (math.comb(k + 1, i) * _B_CACHE[i] for i in range(k)),
-                    Fraction(0),
-                )
-                _B_CACHE.append(-s / (k + 1))
-    return _B_CACHE[m]
+    return _bernoulli_row(m)
 
 
 @dataclass(frozen=True)

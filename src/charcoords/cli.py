@@ -12,6 +12,7 @@ found through --config or the CHARCOORDS_CONFIG environment variable.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -50,15 +51,21 @@ def _emit(args, command: str, inputs: dict, results, text_lines) -> None:
             print(line)
 
 
-def _float_str(z: complex) -> str:
-    return "%.12g%+.12gi" % (z.real, z.imag)
+def _float_or_none(value: CycElem) -> complex | None:
+    """The double value, or None when it does not fit in a finite double."""
+    try:
+        z = value.complex_eval()
+    except OverflowError:
+        return None
+    return z if cmath.isfinite(z) else None
 
 
 def _cyc_text(value: CycElem) -> str:
-    return "order %d, coeffs [%s], ~ %s" % (
+    z = _float_or_none(value)
+    return "order %d, coeffs [%s], %s" % (
         value.order,
         ", ".join(str(c) for c in value.coeffs),
-        _float_str(value.complex_eval()),
+        "no finite double" if z is None else "~ %.12g%+.12gi" % (z.real, z.imag),
     )
 
 
@@ -95,7 +102,7 @@ def _coord_for(chi, args) -> CoordReport:
             raise ValueError("--method cotnum needs --j and no r")
         value = coord_cotangent_closed(chi, args.j)
         return CoordReport(chi.modulus, chi.index, args.j, "cotnum_closed", value,
-                           value.complex_eval())
+                           _float_or_none(value))
     if args.r is None or args.j is not None:
         raise ValueError("method %r needs the positional r and no --j" % method)
     if method == "def":
@@ -109,7 +116,7 @@ def _coord_for(chi, args) -> CoordReport:
         name = "primitive_closed"
     else:
         raise ValueError("unknown method %r" % method)
-    return CoordReport(chi.modulus, chi.index, args.r, name, value, value.complex_eval())
+    return CoordReport(chi.modulus, chi.index, args.r, name, value, _float_or_none(value))
 
 
 def _cmd_coord(args) -> int:

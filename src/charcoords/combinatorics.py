@@ -14,16 +14,15 @@ Everything here is exact rational arithmetic; no floating point.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _scaled_ints, _schoolbook_mul
+from .arith import _schoolbook_mul
 from .bernoulli import bernoulli_number
-from .memo import memo
+from .memo import recurrence
 
-_STIRLING_ROWS: list[list[int]] = [[1], [0, 1]]  # row k: S(k, j) for j = 0..k
-_STIRLING_LOCK = threading.Lock()
+# row k: S(k, j) for j = 0..k, the coefficients of x(x+1)...(x+k-1)
+_stirling_row = recurrence(lambda: [1], lambda S: _schoolbook_mul(S[-1], (len(S) - 1, 1)))
 
 
 def stirling_first_unsigned(k: int, j: int) -> int:
@@ -36,23 +35,15 @@ def stirling_first_unsigned(k: int, j: int) -> int:
         raise ValueError("stirling_first_unsigned needs k >= 1")
     if j < 1 or j > k:
         return 0
-    if len(_STIRLING_ROWS) <= k:
-        with _STIRLING_LOCK:
-            while len(_STIRLING_ROWS) <= k:
-                prev = _STIRLING_ROWS[-1]
-                kk = len(_STIRLING_ROWS) - 1
-                row = [0] * (kk + 2)
-                for jj in range(1, kk + 2):
-                    row[jj] = kk * (prev[jj] if jj <= kk else 0) + prev[jj - 1]
-                _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[k][j]
+    return _stirling_row(k)[j]
 
 
 def cot_power_coeff(r: int, j: int) -> Fraction:
     """Coefficient of i^j cot_(j-1) in the expansion of (i cot)^r.
 
-    Equals (-1)^(r-1) * sum_{k=j}^{r} (-2)^(k-j)/(k-1)! * C(r, k) * S(k, j);
-    zero for j outside [1, r] and whenever j and r have opposite parity.
+    Equals (-1)^(r-1) * sum_{k=j}^{r} (-2)^(k-j)/(k-1)! * C(r, k) * S(k, j),
+    summed in integers over the one denominator (r-1)!; zero for j outside
+    [1, r] and whenever j and r have opposite parity.
     Out-of-range arguments return exact zero to match the summation
     conventions used downstream.
     """
@@ -60,28 +51,25 @@ def cot_power_coeff(r: int, j: int) -> Fraction:
         raise ValueError("cot_power_coeff needs r >= 1")
     if j < 1 or j > r:
         return Fraction(0)
-    total = Fraction(0)
-    for k in range(j, r + 1):
-        total += (
-            Fraction((-2) ** (k - j), math.factorial(k - 1))
-            * math.comb(r, k)
-            * stirling_first_unsigned(k, j)
-        )
-    return (-1) ** (r - 1) * total
+    total = sum(
+        (-2) ** (k - j) * math.perm(r - 1, r - k) * math.comb(r, k) * stirling_first_unsigned(k, j)
+        for k in range(j, r + 1)
+    )
+    return Fraction((-1) ** (r - 1) * total, math.factorial(r - 1))
 
 
-@memo
-def _conv_power(r: int) -> tuple[Fraction, ...]:
-    """The r-th power of sum_m B_{2m} z^m/(2m)!, through z^(r//2): the base
-    as integers over one denominator den, r truncated integer products,
-    and one division by den^r at the end."""
-    terms = r // 2 + 1
-    base = [bernoulli_number(2 * m) / math.factorial(2 * m) for m in range(terms)]
-    base, den = _scaled_ints(base)
-    power = [1]
-    for _ in range(r):
-        power = _schoolbook_mul(power, base)[:terms]
-    return tuple(Fraction(c, den**r) for c in power)
+def _conv_step(rows: list[Fraction], r: int) -> Fraction:
+    """Coefficient p_w, w = len(rows), of f^r for f = sum_m B_{2m} z^m/(2m)!
+    by Miller's power recurrence p_w = (1/w) sum_{i=1..w} ((r+1)i - w) f_i
+    p_{w-i}, from f (f^r)' = r f' f^r (Knuth, TAOCP vol. 2, 4.7)."""
+    w = len(rows)
+    return sum(
+        ((r + 1) * i - w) * bernoulli_number(2 * i) / math.factorial(2 * i) * rows[w - i]
+        for i in range(1, w + 1)
+    ) / w
+
+
+_conv_power = recurrence(lambda r: Fraction(1), _conv_step)
 
 
 def bernoulli_conv_coeff(r: int, j: int) -> Fraction:
@@ -93,7 +81,7 @@ def bernoulli_conv_coeff(r: int, j: int) -> Fraction:
         raise ValueError("bernoulli_conv_coeff needs r >= 1")
     if j < 1 or j > r or (r - j) % 2:
         return Fraction(0)
-    return _conv_power(r)[(r - j) // 2]
+    return _conv_power((r - j) // 2, r)
 
 
 def _compositions(total: int, parts: int):

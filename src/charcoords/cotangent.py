@@ -19,15 +19,17 @@ gracefully.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .arith import _schoolbook_mul
 from .cyclotomic import CycElem
-from .memo import memo
+from .memo import memo, recurrence
 
-_COT_POLYS: list[tuple[int, ...]] = [(0, 1)]  # p_0(y) = y, ascending coefficients
-_COT_LOCK = threading.Lock()
+# p_0(y) = y, p_(l+1) = -(1 + y^2) * p_l', ascending coefficients
+_cot_poly = recurrence(
+    lambda: (0, 1),
+    lambda p: tuple(_schoolbook_mul((-1, 0, -1), [i * c for i, c in enumerate(p[-1])][1:])),
+)
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,7 @@ def cot_derivative_poly(l: int) -> CotDerivPoly:
     """Polynomial giving the l-th derivative of cot in terms of cot."""
     if l < 0:
         raise ValueError("cot_derivative_poly needs l >= 0")
-    if len(_COT_POLYS) <= l:
-        with _COT_LOCK:
-            while len(_COT_POLYS) <= l:
-                p = _COT_POLYS[-1]
-                dp = [i * c for i, c in enumerate(p)][1:]  # p'
-                _COT_POLYS.append(tuple(_schoolbook_mul((-1, 0, -1), dp)))  # -(1 + y^2) p'
-    return CotDerivPoly(l, _COT_POLYS[l])
+    return CotDerivPoly(l, _cot_poly(l))
 
 
 @memo

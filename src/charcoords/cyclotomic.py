@@ -47,9 +47,9 @@ ones off.
 
 Memoized results here, as everywhere in the package, go through the one
 bounded, thread-safe memo of :mod:`charcoords.memo`, which clear_memos()
-empties in one call.  The prefix tables of Bernoulli numbers, Stirling rows
-and cotangent derivatives keep their locks: each row is built from the rows
-below, and an evicting memo would make that recurrence a deep recursion.
+empties in one call.  That holds for the Bernoulli numbers, Stirling rows and
+cotangent derivatives too: memo.recurrence keeps each such sequence as one
+memo entry, grown row by row in a loop under the one lock of that module.
 """
 
 from __future__ import annotations

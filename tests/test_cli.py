@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from charcoords import cli
+from charcoords.characters import enumerate_characters
 from charcoords.cli import main
+from charcoords.coordinates import coord_cotangent_closed
+from charcoords.cotangent import cotangent_number
 from charcoords.cyclotomic import CycElem, FieldMembershipError
 from charcoords.memo import clear_memos
 from charcoords.series import TruncationError
@@ -280,6 +283,33 @@ def test_cot_deep_power(capsys):
     assert code == 0 and err == ""
     value = CycElem.from_json_dict(json.loads(out)["results"]["value"])
     assert value == CycElem.from_rational(Fraction(1, 3**600), 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "coord 3 1 --method cotnum --j 401 --format json",
+        "coord 3 0 --method cotnum --j 400 --format json",
+        "coord 3 0 --method cotnum --j 400",
+        "cot 3 --j 200",
+    ],
+)
+def test_values_past_the_double_range_print_exactly(capsys, argv):
+    # these values overflow a double: the exact value is printed, the float left out
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    words = argv.split()
+    if words[0] == "coord":
+        chi = enumerate_characters(3)[int(words[2])]
+        value = coord_cotangent_closed(chi, int(words[6]))
+    else:
+        value = cotangent_number(200, 3)
+    if words[-1] == "json":
+        (result,) = json.loads(out)["results"]
+        assert result["value"] == value.to_json_dict() and "float" not in result
+    else:
+        assert "no finite double" in out and "~" not in out
+        assert all(str(c) in out for c in value.coeffs)
 
 
 def test_main_twice_in_one_process(capsys):

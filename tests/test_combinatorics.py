@@ -111,7 +111,7 @@ def test_bridge_examples():
 
 
 def test_bridge_matches_cot_power_coeff():
-    for r in range(1, 21):
+    for r in range(1, 61):
         for j in range(1, r + 1):
             if (r - j) % 2 == 0:
                 assert cot_power_coeff(r, j) == coeff_bridge(r, j), (r, j)

@@ -93,9 +93,10 @@ def test_power_decomposition():
 def test_conv_coeff_from_series():
     assert bernoulli_conv_coeff_from_series(1, 1) == 1
     assert bernoulli_conv_coeff_from_series(3, 1) == F(1, 4)
-    for r in range(1, 9):
+    # the power recurrence against repeated truncated series products
+    for r in range(1, 25):
         for j in range(1, r + 1):
-            assert bernoulli_conv_coeff_from_series(r, j) == bernoulli_conv_coeff(r, j)
+            assert bernoulli_conv_coeff_from_series(r, j) == bernoulli_conv_coeff(r, j), (r, j)
 
 
 @settings(max_examples=50, deadline=None)

@@ -173,10 +173,7 @@ def test_parallel_case_evaluation_is_consistent():
     included)."""
     from concurrent.futures import ThreadPoolExecutor
 
-    bernoulli._B_CACHE[:] = bernoulli._B_CACHE[:1]
-    combinatorics._STIRLING_ROWS[:] = combinatorics._STIRLING_ROWS[:2]
-    cotangent._COT_POLYS[:] = cotangent._COT_POLYS[:1]
-    coordinates.coord_definitional.cache_clear()
+    clear_memos()
 
     def one_case(work):
         n, idx, r = work
