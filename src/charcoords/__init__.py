@@ -34,6 +34,7 @@ from .coordinates import (
     coord_one,
     coord_power_closed,
     coord_power_primitive,
+    coords_definitional,
     direct_sum_float,
     reconstruct,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "coord_one",
     "coord_power_closed",
     "coord_power_primitive",
+    "coords_definitional",
     "direct_sum_float",
     "reconstruct",
     "CotDerivPoly",

@@ -59,12 +59,15 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
 
 
-def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product of two integer coefficient lists, term by term."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+def _schoolbook_mul(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
+    """The product of two integer coefficient lists, term by term: all of
+    it, or only its first size terms, the others never computed."""
+    if size is None:
+        size = len(a) + len(b) - 1
+    prod = [0] * size
+    for i, ai in enumerate(a[:size]):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b[:size - i]):
                 if bj:
                     prod[i + j] += ai * bj
     return prod

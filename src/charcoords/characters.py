@@ -115,8 +115,8 @@ class CharacterGroup:
     def character(self, exponents: tuple[int, ...]) -> "DirichletCharacter":
         """The one shared instance of the character with these exponents.
 
-        Enumeration, conjugate() and primitive_part() all go through here,
-        so a memo keyed on a character finds it by identity.
+        Enumeration, power(), conjugate() and primitive_part() all go
+        through here, so a memo keyed on a character finds it by identity.
         """
         chi = self._characters.get(exponents)
         if chi is None:
@@ -223,12 +223,15 @@ class DirichletCharacter:
             raise ArithmeticError("chi(-1) is not +-1")
         return -1
 
-    @memo
-    def conjugate(self) -> "DirichletCharacter":
-        """The complex-conjugate character (negated exponent vector)."""
+    def power(self, s: int) -> "DirichletCharacter":
+        """chi^s, k -> chi(k)^s (exponent vector times s), the shared instance."""
         return self.group.character(tuple(
-            -e % c.order for e, c in zip(self.exponents, self.group.components)
+            s * e % c.order for e, c in zip(self.exponents, self.group.components)
         ))
+
+    def conjugate(self) -> "DirichletCharacter":
+        """The complex-conjugate character chi^-1."""
+        return self.power(-1)
 
     @memo
     def conductor(self) -> int:

@@ -11,7 +11,9 @@ in the field of values Q(zeta_m), m = order of chi.
 
 This module computes y(chi|a) three independent ways:
 
-* :func:`coord_definitional` evaluates the defining sum exactly;
+* :func:`coord_definitional` evaluates the defining sum exactly, and
+  :func:`coords_definitional` gives every character's coordinate from
+  one defining sum per Galois orbit (below);
 * :func:`coord_cotangent_closed` and :func:`coord_power_closed` use the
   closed forms through generalized Bernoulli numbers and Euler factors;
 * :func:`coord_power_primitive` uses the Bernoulli-convolution form that
@@ -30,6 +32,29 @@ Z[x]/(x^L - 1), handed unreduced to the tensor-basis projection of
 verifies membership of the result in the target field instead of assuming
 it, raising FieldMembershipError on any violation (an internal-consistency
 signal).
+
+Galois orbits.  Let chi have order m and let s be a unit mod m.  Take t
+mod L = lcm(n, m) prime to L with t = s mod m (by the Chinese remainder
+theorem: s on the primes of m, 1 on the others), and u = t mod n, a unit
+mod n.  The automorphism sigma_t: zeta_L -> zeta_L^t raises every
+character value, a power of zeta_m, to the power s, and sends zeta_n to
+zeta_n^u and zeta_f to zeta_f^u (f | n).  Applied to the right side of
+the defining identity it gives
+
+    sum_k conj(chi^s)(k) sigma_(uk)(a) = chi^s(u) * sum_k conj(chi^s)(k) sigma_k(a),
+
+and applied to the Gauss sum, with chi^s of the same conductor f and
+primitive part (chi_f)^s, it gives chi^s(u) * tau(conj(chi^s)_f).  The
+factor chi^s(u) cancels, so
+
+    y(chi^s | a) = galois_s(y(chi | a)),
+
+galois_s being zeta_m -> zeta_m^s on Q(zeta_m).  This uses only the
+definitions.  The chi^s, s a unit mod m, are the generators of the cyclic
+group chi generates, so these orbits partition the characters mod n and
+one defining sum per orbit gives every coordinate; t = 1 mod n (u = 1),
+possible when s = 1 mod gcd(n, m), is the special case in which sigma_t
+fixes a outright.
 """
 
 from __future__ import annotations
@@ -41,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .arith import euler_phi, prime_factors
+from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
@@ -143,6 +168,21 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     prod = _times_gauss(vec, _gauss_support(chif, L), L)
     y = _project_cyclic(prod, chif.modulus * a.den, L, m)
     return y if chi.parity() == 1 else -y
+
+
+def coords_definitional(n: int, a: CycElem) -> dict[DirichletCharacter, CycElem]:
+    """y(chi|a) for every character chi mod n, by the defining sum once per
+    Galois orbit (see the module docstring): a character chi of order m
+    gives its coordinate to every chi^s, s a unit mod m, as
+    y(chi^s|a) = galois_s(y(chi|a)).
+    """
+    ys: dict[DirichletCharacter, CycElem] = {}
+    for chi in enumerate_characters(n):
+        if chi not in ys:
+            y = coord_definitional(chi, a)
+            for s in units(chi.order):
+                ys[chi.power(s)] = y.galois(s)
+    return ys
 
 
 def coord_one(chi: DirichletCharacter) -> CycElem:
@@ -262,11 +302,14 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
     L = n
     for chi in chars:
         L = math.lcm(L, coords[chi].order, chi.order)
-    embedded = {chi: coords[chi].embed(L) for chi in chars}
-    den = math.lcm(*(y.den for y in embedded.values()))
+    den = math.lcm(*(coords[chi].den for chi in chars))
     vec = [0] * L
-    for chi, y in embedded.items():
-        dense = [c * (den // y.den) for c in y.nums] + [0] * (L - len(y.nums))
+    for chi in chars:
+        y = coords[chi]
+        # y's nums at stride L/order represent y in Z[x]/(x^L - 1)
+        stride = L // y.order
+        dense = [0] * L
+        dense[:stride * len(y.nums):stride] = [c * (den // y.den) for c in y.nums]
         taubar = chi.conjugate().primitive_part()
         prod = _times_gauss(dense, _gauss_support(taubar, L), L)
         vec = list(map(operator.add, vec, prod))

@@ -450,16 +450,17 @@ class CycElem:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycElem.one(self.order)
+        # square and multiply, the result starting as the first power taken
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return CycElem.one(self.order) if result is None else result
 
     def inverse(self) -> "CycElem":
         """Multiplicative inverse through the Galois norm: with c the

@@ -127,7 +127,7 @@ class LaurentSeries:
         prec = min(self.low + other.prec, other.low + self.prec)
         a, da = _scaled_ints(self.coeffs)
         b, db = _scaled_ints(other.coeffs)
-        out = _schoolbook_mul(a, b)[: prec - low]
+        out = _schoolbook_mul(a, b, prec - low)
         return LaurentSeries(low, tuple(Fraction(c, da * db) for c in out), prec)
 
     __rmul__ = __mul__

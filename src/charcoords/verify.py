@@ -6,10 +6,12 @@ computed values, and ok None when the check is lhs == rhs.  One recording
 loop counts the cases, times the suite and records every mismatch
 (failure-fast is off so convention bugs surface in full); a suite with no
 case is refused.  The three closed-form suites share one sweep against the
-definitional coordinate.  Exact suites never consult floating point; the
-float suite checks only complex_eval, never the exact paths: it compares
-a direct double-precision sum with the product of two doubles, the
-coordinate and the Gauss sum, each evaluated in its own field.
+definitional coordinate.  Every suite reads its definitional coordinates
+from coords_definitional: one defining sum per Galois orbit of characters,
+the other members by CycElem.galois.  Exact suites never consult floating
+point; the float suite checks only complex_eval, never the exact paths: it
+compares a direct double-precision sum with the product of two doubles,
+the coordinate and the Gauss sum, each evaluated in its own field.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -34,9 +36,9 @@ from .combinatorics import (
 )
 from .coordinates import (
     coord_cotangent_closed,
-    coord_definitional,
     coord_power_closed,
     coord_power_primitive,
+    coords_definitional,
     direct_sum_float,
     reconstruct,
 )
@@ -168,13 +170,14 @@ def _closed_vs_definitional(moduli, degrees, key, element, closed, methods,
         chars = enumerate_characters(n)
         for d in degrees:
             a = element(d, n)
+            ys = coords_definitional(n, a)
             if not primitive:
                 mirror = a if d % 2 == 0 else -a
                 yield {"n": n, key: d, "purity": "conjugate"}, a.conjugate(), mirror, None
             for idx, chi in enumerate(chars):
                 if not primitive or chi.conductor() == n:
                     yield ({"n": n, "char_index": idx, key: d, "methods": methods},
-                           closed(chi, d), coord_definitional(chi, a), None)
+                           closed(chi, d), ys[chi], None)
 
 
 @_recorded
@@ -236,10 +239,10 @@ def suite_float_crosscheck(config: SuiteConfig):
     for n in range(2, config.float_n_max + 1):
         chars = enumerate_characters(n)
         for r in range(1, config.float_r_max + 1):
-            a = icot_power(r, n)
+            ys = coords_definitional(n, icot_power(r, n))
             for idx, chi in enumerate(chars):
                 left = direct_sum_float(chi, r)
-                y = coord_definitional(chi.conjugate(), a)
+                y = ys[chi.conjugate()]
                 right = y.complex_eval() * gauss_sum(chi.primitive_part()).complex_eval()
                 err = abs(left - right)
                 inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
@@ -249,13 +252,13 @@ def suite_float_crosscheck(config: SuiteConfig):
 @_recorded
 def suite_reconstruction(config: SuiteConfig):
     """Round trip a -> coordinates -> a for 1, i*cot, its powers, and
-    cotangent numbers, over n <= recon_n_max.  i*cot enters as the field
-    quotient (1 + zeta_n)/(1 - zeta_n), not as icot_value's integer sum,
-    so the sweep also runs CycElem.inverse."""
+    cotangent numbers, over n <= recon_n_max.  1 enters as the image of
+    the rational 1 under Q -> Q(zeta_n), and i*cot as the field quotient
+    (1 + zeta_n)/(1 - zeta_n), not as icot_value's integer sum, so the
+    sweep also runs CycElem.embed and CycElem.inverse."""
     for n in range(2, config.recon_n_max + 1):
-        chars = enumerate_characters(n)
         z = CycElem.zeta(n)
-        elements = [("one", CycElem.one(n)), ("icot", (1 + z) / (1 - z))]
+        elements = [("one", CycElem.one().embed(n)), ("icot", (1 + z) / (1 - z))]
         elements += [
             ("icot_power_%d" % r, icot_power(r, n))
             for r in range(2, config.recon_r_max + 1)
@@ -265,7 +268,7 @@ def suite_reconstruction(config: SuiteConfig):
             for j in range(1, config.recon_j_max + 1)
         ]
         for label, a in elements:
-            coords = {chi: coord_definitional(chi, a) for chi in chars}
+            coords = coords_definitional(n, a)
             yield {"n": n, "element": label}, reconstruct(coords, n), a, None
 
 

@@ -123,6 +123,25 @@ def test_conjugate_character():
                 assert bar.eval(k) == chi.eval(k).conjugate()
 
 
+def test_power_character():
+    """chi^s(k) = chi(k)^s on every unit k, for -m <= s < 2m and n <= 40:
+    for s a unit mod m, chi^s has order m and exponent s * e mod m where
+    chi has e; otherwise its order m' divides m and its exponent is read
+    in Q(zeta_m').  power(-1) is the shared conjugate."""
+    for n in range(2, 41):
+        for chi in enumerate_characters(n):
+            m = chi.order
+            assert chi.power(-1) is chi.conjugate()
+            assert chi.power(1) is chi and chi.power(m + 1) is chi
+            for s in range(-m, 2 * m):
+                psi = chi.power(s)
+                assert psi.modulus == n
+                assert (psi.order == m) == (math.gcd(s, m) == 1)
+                scale = m // psi.order
+                for k, e in chi.unit_values():
+                    assert psi.value_exponent(k) * scale == s * e % m, (n, chi.index, s, k)
+
+
 def test_value_exponent_matches_log_table():
     """value_exponent against chi(g_i) = zeta_(d_i)^(e_i) on the CRT
     generators, for every residue -n..2n-1, n <= 64, and the conjugate;

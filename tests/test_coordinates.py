@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from charcoords.coordinates import (
     coord_one,
     coord_power_closed,
     coord_power_primitive,
+    coords_definitional,
     direct_sum_float,
     reconstruct,
 )
@@ -152,6 +154,25 @@ def test_reconstruct_round_trip():
         for a in (CycElem.one(n), icot_value(n), icot_power(2, n)):
             coords = {chi: coord_definitional(chi, a) for chi in chars}
             assert reconstruct(coords, n) == a
+            # coordinates handed over in a larger field than Q(zeta_m)
+            wide = {chi: y.embed(6 * y.order) for chi, y in coords.items()}
+            assert reconstruct(wide, n) == a
+
+
+def test_orbit_coordinates_match_definitional():
+    """coords_definitional, one defining sum per Galois orbit and
+    galois_s for the other members, equals the per-character defining sum
+    for every character mod n <= 64, on (i cot)^3, a cotangent number and
+    a seeded dense element with denominators."""
+    rng = random.Random(20250411)
+    for n in range(2, 65):
+        chars = enumerate_characters(n)
+        dense = CycElem(n, [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(euler_phi(n))])
+        for a in (icot_power(3, n), cotangent_number(4, n), dense):
+            ys = coords_definitional(n, a)
+            assert set(ys) == set(chars)
+            for chi in chars:
+                assert ys[chi] == coord_definitional.__wrapped__(chi, a), (n, chi.index)
 
 
 def test_reconstruct_rejects_missing():
