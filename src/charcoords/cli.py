@@ -127,6 +127,10 @@ def _cmd_coord(args) -> int:
             raise ValueError("--all-chars takes n and r, not a character index")
         if args.char_index is not None:
             args.r, args.char_index = args.char_index, None
+        if args.method == "prim":
+            # character 0 is principal, of conductor 1: never primitive mod n >= 2
+            raise ValueError("--all-chars cannot be combined with --method prim,"
+                             " which needs primitive characters")
         targets = chars
     else:
         if args.char_index is None:

@@ -316,12 +316,26 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
     return _project_cyclic(vec, euler_phi(n) * den, L, n)
 
 
+@memo
+def _icot_doubles(n: int) -> dict[int, complex]:
+    """1j / tan(pi k/n) as a double, for every unit k mod n."""
+    return {k: 1j / math.tan(math.pi * k / n) for k in units(n)}
+
+
+@memo
+def _root_doubles(m: int) -> tuple[complex, ...]:
+    """exp(2 pi i e/m) as a double, for e = 0 .. m - 1."""
+    return tuple(cmath.exp(2j * math.pi * e / m) for e in range(m))
+
+
 def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):
     """Floating evaluation of sum over units k of chi(k) * (i cot(pi k/n))^r.
 
     This is the floating side of the cross-check suite; it never feeds the
     exact paths.  With precision <= 53 the sum runs in double arithmetic,
-    otherwise in mpmath at the requested bits.
+    otherwise in mpmath at the requested bits.  The double path reads
+    i cot(pi k/n) and zeta_m^e from per-n and per-m tables of the same
+    doubles it would compute term by term, so no value changes.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -329,10 +343,11 @@ def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):
     m = chi.order
     # chi(k) = zeta_m^e on the units, the only k summed; it is zero elsewhere
     if precision <= 53:
+        icot = _icot_doubles(n)
+        roots = _root_doubles(m)
         total = 0j
         for k, e in chi.unit_values():
-            z = cmath.exp(2j * math.pi * e / m)
-            total += z * (1j / math.tan(math.pi * k / n)) ** r
+            total += roots[e] * icot[k] ** r
         return total
     import mpmath
 

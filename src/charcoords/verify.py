@@ -11,7 +11,10 @@ from coords_definitional: one defining sum per Galois orbit of characters,
 the other members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
-the coordinate and the Gauss sum, each evaluated in its own field.
+the coordinate and the Gauss sum, each evaluated in its own field.  It
+evaluates tau(chi_f) once per character and modulus, not once per
+exponent, and its direct sums read per-n and per-m tables of doubles,
+which changes no value.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -234,16 +237,21 @@ def suite_float_crosscheck(config: SuiteConfig):
     Q(zeta_lcm(f, m)), never their exact product.  The match binds
     complex_eval (and the defining identities) to an independent
     double-precision computation; it never adjudicates the exact paths.
+    tau(chi_f) is evaluated once per character and modulus and shared by
+    every r, and direct_sum_float reads its cotangent and root-of-unity
+    doubles from per-n and per-m tables, so every value is the one the
+    per-case computation gives.
     """
     tol = config.float_tolerance
     for n in range(2, config.float_n_max + 1):
         chars = enumerate_characters(n)
+        conjugates = [chi.conjugate() for chi in chars]
+        taus = [gauss_sum(chi.primitive_part()).complex_eval() for chi in chars]
         for r in range(1, config.float_r_max + 1):
             ys = coords_definitional(n, icot_power(r, n))
             for idx, chi in enumerate(chars):
                 left = direct_sum_float(chi, r)
-                y = ys[chi.conjugate()]
-                right = y.complex_eval() * gauss_sum(chi.primitive_part()).complex_eval()
+                right = ys[conjugates[idx]].complex_eval() * taus[idx]
                 err = abs(left - right)
                 inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
                 yield inputs, left, right, err < tol

@@ -89,6 +89,15 @@ def test_coord_all_chars_refuses_a_character_index(capsys):
     assert err.startswith("error: ")
 
 
+def test_coord_all_chars_refuses_the_primitive_method(capsys):
+    # character 0 is principal, of conductor 1, so it is never primitive mod n >= 2
+    code, out, err = run_cli(capsys, "coord", "5", "3", "--all-chars", "--method", "prim")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "--all-chars" in err and "--method prim" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

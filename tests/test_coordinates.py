@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -199,6 +200,22 @@ def test_direct_sum_float():
     assert abs(direct_sum_float(quad, 1)) < 1e-9
     principal2 = enumerate_characters(2)[0]
     assert abs(direct_sum_float(principal2, 1)) < 1e-12
+
+
+def test_direct_sum_float_is_the_literal_double_sum():
+    # the tabled doubles must give the per-term sum bit for bit: same doubles,
+    # same ** r, same k-ascending order of additions
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    for n in range(2, 31):
+        for chi in enumerate_characters(n):
+            m = chi.order
+            for r in range(1, 11):
+                total = 0j
+                for k, e in chi.unit_values():
+                    total += cmath.exp(2j * math.pi * e / m) * (1j / math.tan(math.pi * k / n)) ** r
+                assert bits(direct_sum_float(chi, r)) == bits(total), (n, chi.index, r)
 
 
 def test_direct_sum_float_high_precision():

@@ -110,6 +110,29 @@ def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
     assert max(errors) > 1.0
 
 
+def test_float_crosscheck_records_the_literal_two_factor_errors():
+    """At a tolerance below every rounding error, each nonzero error is a
+    record, and each record's error is the literal |direct sum - y * tau|."""
+    def literal_error(chi, r):
+        y = coordinates.coord_definitional(chi.conjugate(), cotangent.icot_power(r, chi.modulus))
+        tau = characters.gauss_sum(chi.primitive_part())
+        return abs(coordinates.direct_sum_float(chi, r) - y.complex_eval() * tau.complex_eval())
+
+    cfg = config_with_overrides(MINI, suites=("float_crosscheck",), float_tolerance=1e-300,
+                                float_n_max=12, float_r_max=3)
+    (result,) = run_suites(cfg)
+    for f in result.failures:
+        chi = characters.enumerate_characters(f.inputs["n"])[f.inputs["char_index"]]
+        assert f.inputs["abs_error"] == literal_error(chi, f.inputs["r"]), f.inputs
+    nonzero = sum(
+        literal_error(chi, r) != 0
+        for n in range(2, 13)
+        for chi in characters.enumerate_characters(n)
+        for r in range(1, 4)
+    )
+    assert len(result.failures) == nonzero > 0
+
+
 def test_result_json_shape():
     cfg = config_with_overrides(MINI, suites=("coeff_bridge",))
     data = run_suites(cfg)[0].to_json_dict()
