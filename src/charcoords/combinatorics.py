@@ -58,15 +58,27 @@ def cot_power_coeff(r: int, j: int) -> Fraction:
     return Fraction((-1) ** (r - 1) * total, math.factorial(r - 1))
 
 
+# row i: f_i = B_2i/(2i)!, the coefficients of the series _conv_power raises
+_bernoulli_factor = recurrence(
+    lambda: Fraction(1), lambda f: bernoulli_number(2 * len(f)) / math.factorial(2 * len(f))
+)
+
+
 def _conv_step(rows: list[Fraction], r: int) -> Fraction:
     """Coefficient p_w, w = len(rows), of f^r for f = sum_m B_{2m} z^m/(2m)!
     by Miller's power recurrence p_w = (1/w) sum_{i=1..w} ((r+1)i - w) f_i
-    p_{w-i}, from f (f^r)' = r f' f^r (Knuth, TAOCP vol. 2, 4.7)."""
+    p_{w-i}, from f (f^r)' = r f' f^r (Knuth, TAOCP vol. 2, 4.7).
+
+    The w terms are summed as integer numerators over the lcm of their
+    denominators, so the row costs one reduced Fraction, not one per term.
+    """
     w = len(rows)
-    return sum(
-        ((r + 1) * i - w) * bernoulli_number(2 * i) / math.factorial(2 * i) * rows[w - i]
-        for i in range(1, w + 1)
-    ) / w
+    terms = []
+    for i in range(1, w + 1):
+        f, p = _bernoulli_factor(i), rows[w - i]
+        terms.append((((r + 1) * i - w) * f.numerator * p.numerator, f.denominator * p.denominator))
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den * w)
 
 
 _conv_power = recurrence(lambda r: Fraction(1), _conv_step)
@@ -98,10 +110,12 @@ BRUTEFORCE_LIMIT = 12
 
 def bernoulli_conv_coeff_bruteforce(r: int, j: int) -> Fraction:
     """Same value as bernoulli_conv_coeff by literal enumeration of the
-    nonnegative tuples (j_1, ..., j_r) with j + 2*sum(j_t) = r.
+    nonnegative tuples (j_1, ..., j_r) with j + 2*sum(j_t) = r, each
+    contributing the Fraction product of B_(2 j_t)/(2 j_t)! over its parts.
 
-    Exponential in r; kept as an independent oracle, limited to
-    r <= BRUTEFORCE_LIMIT.
+    The factors B_2i/(2i)!, i <= (r-j)/2, are tabulated once per call; every
+    composition is enumerated and its product formed.  Exponential in r;
+    kept as an independent oracle, limited to r <= BRUTEFORCE_LIMIT.
     """
     if r < 1:
         raise ValueError("bernoulli_conv_coeff_bruteforce needs r >= 1")
@@ -110,11 +124,13 @@ def bernoulli_conv_coeff_bruteforce(r: int, j: int) -> Fraction:
     if j < 1 or j > r or (r - j) % 2:
         return Fraction(0)
     w = (r - j) // 2
+    factor = [bernoulli_number(2 * i) / math.factorial(2 * i) for i in range(w + 1)]
     total = Fraction(0)
     for tup in _compositions(w, r):
         prod = Fraction(1)
         for jt in tup:
-            prod *= bernoulli_number(2 * jt) / math.factorial(2 * jt)
+            if jt:  # a part jt = 0 contributes B_0/0! = 1
+                prod *= factor[jt]
         total += prod
     return total
 

@@ -5,8 +5,10 @@ The series here act as an oracle that is independent of all cyclotomic
 arithmetic: the expansion coefficients produced by
 :mod:`charcoords.combinatorics` are checked against truncated-series
 identities in the variable t, with every i-power carried as an explicit
-rational sign.  Nothing here imports :mod:`charcoords.cyclotomic`; a
-product clears its factors' denominators and multiplies integer lists.
+rational sign.  Nothing here imports :mod:`charcoords.cyclotomic` or the
+convolution recurrence.  A series is a list of integer numerators over one
+denominator, so a product is one integer product of the numerator lists
+and a sum one integer sum over the lcm of the two denominators.
 
 A :class:`LaurentSeries` knows its coefficients for exponents
 ``low .. prec-1`` and refuses to answer beyond ``prec`` (raising
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .arith import _scaled_ints, _schoolbook_mul
 from .combinatorics import cot_power_coeff, stirling_first_unsigned
@@ -27,26 +30,47 @@ class TruncationError(ValueError):
     """A coefficient beyond the known truncation order was requested."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class LaurentSeries:
-    """Coefficients for exponents low..prec-1; unknown from prec onward."""
+    """sum(nums[i] * t^(low+i)) / den, known for exponents low..prec-1 and
+    unknown from prec onward.
+
+    The form is canonical: len(nums) == prec - low, den > 0,
+    gcd(den, *nums) == 1 and nums[0] != 0, and the zero series is
+    low = prec, nums = (), den = 1.  So equal series have equal fields;
+    ``coeffs`` derives the rational coefficients.  Instances are immutable.
+    """
 
     low: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     prec: int
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        low = self.low
-        if low + len(coeffs) != self.prec:
+    def __init__(self, low: int, coeffs, prec: int):
+        coeffs = [Fraction(c) for c in coeffs]
+        if low + len(coeffs) != prec:
             raise ValueError("inconsistent truncation bookkeeping")
-        while coeffs and not coeffs[0]:
-            coeffs = coeffs[1:]
-            low += 1
-        if not coeffs:
-            low = self.prec
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "low", low)
+        self._set(low, *_scaled_ints(coeffs), prec)
+
+    def _set(self, low: int, nums: Sequence[int], den: int, prec: int) -> None:
+        """Store nums/den, for den > 0 and low + len(nums) == prec, in
+        canonical form."""
+        lead = next((i for i, c in enumerate(nums) if c), len(nums))
+        nums = nums[lead:]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "low", low + lead)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "prec", prec)
+
+    @classmethod
+    def _from_ints(cls, low: int, nums: Sequence[int], den: int, prec: int) -> "LaurentSeries":
+        self = object.__new__(cls)
+        self._set(low, nums, den, prec)
+        return self
 
     @classmethod
     def from_terms(cls, low: int, coeffs) -> "LaurentSeries":
@@ -54,12 +78,17 @@ class LaurentSeries:
         return cls(low, coeffs, low + len(coeffs))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients of t^low, ..., t^(prec-1)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def known_through(self) -> int:
         return self.prec - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, e: int) -> Fraction:
         if e >= self.prec:
@@ -69,15 +98,17 @@ class LaurentSeries:
             )
         if e < self.low:
             return Fraction(0)
-        return self.coeffs[e - self.low]
+        return Fraction(self.nums[e - self.low], self.den)
 
     def shift(self, d: int) -> "LaurentSeries":
         """Multiply by t^d."""
-        return LaurentSeries(self.low + d, self.coeffs, self.prec + d)
+        return LaurentSeries._from_ints(self.low + d, self.nums, self.den, self.prec + d)
 
     def _scalar(self, q) -> "LaurentSeries":
         q = Fraction(q)
-        return LaurentSeries(self.low, tuple(c * q for c in self.coeffs), self.prec)
+        return LaurentSeries._from_ints(
+            self.low, [c * q.numerator for c in self.nums], self.den * q.denominator, self.prec
+        )
 
     def __neg__(self):
         return self._scalar(-1)
@@ -96,13 +127,13 @@ class LaurentSeries:
             return NotImplemented
         prec = min(self.prec, o.prec)
         low = min(self.low, o.low, prec)
-        out = [Fraction(0)] * (prec - low)
+        den = math.lcm(self.den, o.den)
+        out = [0] * (prec - low)
         for s in (self, o):
-            for i, c in enumerate(s.coeffs):
-                e = s.low + i
-                if e < prec:
-                    out[e - low] += c
-        return LaurentSeries(low, tuple(out), prec)
+            scale = den // s.den
+            for i, c in enumerate(s.nums[:max(prec - s.low, 0)], s.low - low):
+                out[i] += c * scale
+        return LaurentSeries._from_ints(low, out, den, prec)
 
     __radd__ = __add__
 
@@ -120,15 +151,12 @@ class LaurentSeries:
             return self._scalar(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            prec = min(self.low + other.prec, other.low + self.prec)
-            return LaurentSeries(prec, (), prec)
-        low = self.low + other.low
         prec = min(self.low + other.prec, other.low + self.prec)
-        a, da = _scaled_ints(self.coeffs)
-        b, db = _scaled_ints(other.coeffs)
-        out = _schoolbook_mul(a, b, prec - low)
-        return LaurentSeries(low, tuple(Fraction(c, da * db) for c in out), prec)
+        if self.is_zero or other.is_zero:
+            return LaurentSeries._from_ints(prec, (), 1, prec)
+        low = self.low + other.low
+        out = _schoolbook_mul(self.nums, other.nums, prec - low)
+        return LaurentSeries._from_ints(low, out, self.den * other.den, prec)
 
     __rmul__ = __mul__
 
@@ -141,28 +169,31 @@ class LaurentSeries:
         return result
 
     def derivative(self) -> "LaurentSeries":
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            e = self.low + i
-            if e:
-                out[i] = e * c
-        return LaurentSeries(self.low - 1, tuple(out), self.prec - 1)
+        out = [(self.low + i) * c for i, c in enumerate(self.nums)]
+        return LaurentSeries._from_ints(self.low - 1, out, self.den, self.prec - 1)
 
     def inverse(self) -> "LaurentSeries":
-        """Inverse of a series whose lowest known coefficient is nonzero."""
+        """Inverse of a series whose lowest known coefficient is nonzero.
+
+        The recurrence inv_k = -(sum_{i=1..k} a_i inv_(k-i)) / a_0, on the
+        integer numerators a_i and starting from inv_0 = den / a_0, keeps
+        every inv_k a reduced Fraction: only the sum inside one step is
+        taken over the lcm of its denominators, and only the result is put
+        over one denominator.  Carried over one common denominator, inv_k
+        would hold a_0^(k+1), and a_0 of the exponential series in
+        :func:`series_one_minus_exp_inv` (M) is (M+2)!, so the integers
+        would blow up.
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of a series with no known terms")
-        c0 = self.coeffs[0]
-        rel = len(self.coeffs)
-        inv = [Fraction(0)] * rel
-        inv[0] = Fraction(1) / c0
-        for k in range(1, rel):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    s += self.coeffs[i] * inv[k - i]
-            inv[k] = -s / c0
-        return LaurentSeries(-self.low, tuple(inv), -self.low + rel)
+        a = self.nums
+        inv = [Fraction(self.den, a[0])]
+        for k in range(1, len(a)):
+            terms = [(a[i] * inv[k - i].numerator, inv[k - i].denominator)
+                     for i in range(1, k + 1) if a[i]]
+            den = math.lcm(*(d for _, d in terms))
+            inv.append(Fraction(-sum(n * (den // d) for n, d in terms), den * a[0]))
+        return LaurentSeries(-self.low, inv, -self.low + len(a))
 
     def agrees_through(self, other: "LaurentSeries", e_max: int) -> bool:
         """Exact coefficient agreement for all exponents <= e_max."""

@@ -287,10 +287,10 @@ def suite_series_oracle(config: SuiteConfig):
     Bernoulli-convolution coefficients."""
     for k in range(1, config.stirling_k_max + 1):
         inputs = {"identity": "stirling", "k": k, "order": 2 * k + 4}
-        yield inputs, True, True, verify_stirling_identity(k, 2 * k + 4)
+        yield inputs, verify_stirling_identity(k, 2 * k + 4), True, None
     for r in range(1, config.decomposition_r_max + 1):
         inputs = {"identity": "power_decomposition", "r": r, "order": 2 * r + 4}
-        yield inputs, True, True, verify_power_decomposition(r, 2 * r + 4)
+        yield inputs, verify_power_decomposition(r, 2 * r + 4), True, None
     for r in range(1, config.d_oracle_r_max + 1):
         for j in range(1, r + 1):
             yield ({"identity": "conv_vs_bruteforce", "r": r, "j": j},

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -24,8 +25,6 @@ def test_one_minus_exp_inv_coefficients():
     assert g.coefficient(1) == F(-1, 12)
     assert g.coefficient(2) == 0
     # the whole expansion is -B_(m+1)/(m+1)! against the Bernoulli numbers
-    import math
-
     for e in range(-1, 10):
         assert g.coefficient(e) == -bernoulli_number(e + 1) / math.factorial(e + 1)
     with pytest.raises(ValueError):
@@ -143,3 +142,88 @@ def test_mul_is_the_truncated_cauchy_product(xs, ys, la, lb):
         )
         assert ab.coefficient(e) == cauchy
     assert (zero * b).is_zero and (b * zero).is_zero
+
+
+# -- the integer form against a plain Fraction-list reference -----------------
+# A reference series is (low, coeffs, prec) with coeffs a tuple of Fractions
+# for the exponents low..prec-1, leading zeros stripped.
+
+
+def _ref(low, coeffs, prec):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+        low += 1
+    return (low if coeffs else prec), tuple(coeffs), prec
+
+
+def _ref_add(a, b):
+    prec = min(a[2], b[2])
+    low = min(a[0], b[0], prec)
+    out = [F(0)] * (prec - low)
+    for s_low, cs, _ in (a, b):
+        for i, c in enumerate(cs):
+            if s_low + i < prec:
+                out[s_low + i - low] += c
+    return _ref(low, out, prec)
+
+
+def _ref_scale(a, q):
+    return _ref(a[0], [c * q for c in a[1]], a[2])
+
+
+def _ref_mul(a, b):
+    low, prec = a[0] + b[0], min(a[0] + b[2], b[0] + a[2])
+    out = [F(0)] * (prec - low)
+    for i, x in enumerate(a[1]):
+        for j, y in enumerate(b[1]):
+            if i + j < prec - low:
+                out[i + j] += x * y
+    return _ref(low, out, prec)
+
+
+def _ref_inverse(a):
+    low, cs, _ = a
+    inv = [1 / cs[0]]
+    for k in range(1, len(cs)):
+        inv.append(-sum((cs[i] * inv[k - i] for i in range(1, k + 1)), F(0)) / cs[0])
+    return _ref(-low, inv, -low + len(cs))
+
+
+def _fields(s):
+    assert s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.prec - s.low
+    assert s.nums[0] != 0 if s.nums else (s.low, s.den) == (s.prec, 1)
+    return s.low, s.coeffs, s.prec
+
+
+_terms = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9)),
+    max_size=8,
+)
+_scalars = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, _terms, st.integers(-3, 3), st.integers(-3, 3), _scalars, st.integers(-3, 3))
+def test_integer_form_matches_the_fraction_reference(xs, ys, la, lb, q, d):
+    a, b = LaurentSeries.from_terms(la, xs), LaurentSeries.from_terms(lb, ys)
+    ra, rb = _ref(la, xs, la + len(xs)), _ref(lb, ys, lb + len(ys))
+    assert _fields(a) == ra and _fields(b) == rb
+    assert _fields(a + b) == _fields(b + a) == _ref_add(ra, rb)
+    assert _fields(a - b) == _ref_add(ra, _ref_scale(rb, -1))
+    assert _fields(-a) == _ref_scale(ra, -1)
+    assert _fields(a * q) == _fields(q * a) == _ref_scale(ra, F(q))
+    const = _ref(0, [F(q)] + [F(0)] * (max(ra[2], 1) - 1), max(ra[2], 1))
+    assert _fields(a + q) == _fields(q + a) == _ref_add(ra, const)
+    assert _fields(a * b) == _fields(b * a) == _ref_mul(ra, rb)
+    assert _fields(a.derivative()) == _ref(ra[0] - 1, [(ra[0] + i) * c for i, c in enumerate(ra[1])], ra[2] - 1)
+    assert _fields(a.shift(d)) == (ra[0] + d, ra[1], ra[2] + d)
+    if a.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        assert _fields(a.inverse()) == _ref_inverse(ra)
+    # canonical form: equal series have equal fields
+    assert a + b - b == LaurentSeries(*_ref_add(_ref_add(ra, rb), _ref_scale(rb, -1)))

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +109,33 @@ def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
     errors = [f.inputs["abs_error"] for f in result.failures]
     assert min(errors) > cfg.float_tolerance
     assert max(errors) > 1.0
+
+
+@pytest.mark.parametrize(
+    "module, name, at, delta, expected",
+    [
+        (series, "stirling_first_unsigned", (3, 2), 1,
+         [{"identity": "stirling", "k": 3, "order": 10}]),
+        (series, "cot_power_coeff", (3, 1), Fraction(1, 10**30),
+         [{"identity": "power_decomposition", "r": 3, "order": 10}]),
+        (verify, "bernoulli_conv_coeff", (3, 1), Fraction(1, 10**30),
+         [{"identity": "conv_vs_bruteforce", "r": 3, "j": 1},
+          {"identity": "conv_vs_series", "r": 3, "j": 1}]),
+    ],
+)
+def test_series_oracle_catches_a_planted_fault(monkeypatch, module, name, at, delta, expected):
+    """One coefficient off at one (k, j) or (r, j) fails exactly the cases
+    that read it, and a failed identity is recorded as False against True."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda a, b: original(a, b) + (delta if (a, b) == at else 0))
+    (result,) = run_suites(config_with_overrides(MINI, suites=("series_oracle",)))
+    assert [f.inputs for f in result.failures] == expected
+    for f in result.failures:
+        if "order" in f.inputs:
+            assert (f.lhs, f.rhs) == ("False", "True")
+        else:
+            assert f.lhs != f.rhs
 
 
 def test_float_crosscheck_records_the_literal_two_factor_errors():
