@@ -1,6 +1,7 @@
-"""Small integer helpers: factorization, totients, divisors, unit lists, and
+"""Small integer helpers: factorization, totients, divisors, unit lists,
 the package's one polynomial product, of integer coefficient lists
-(_schoolbook_mul) cleared of denominators onto one (_scaled_ints)."""
+(_schoolbook_mul) cleared of denominators onto one (_scaled_ints), and its
+one square-and-multiply loop (_power)."""
 
 from __future__ import annotations
 
@@ -79,3 +80,16 @@ def _scaled_ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     for c in coeffs:
         den = math.lcm(den, c.denominator)
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _power(x, e: int):
+    """x^e for e >= 1 by square and multiply, for any x with a product;
+    the result starts as the first power taken, so no unit is needed."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if not e:
+            return result
+        x = x * x

@@ -295,21 +295,32 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
     ]
 
 
+def _twisted_sum(chi: DirichletCharacter, nums: tuple[int, ...], L: int) -> list[int]:
+    """sum over units k mod q of chi(k) sigma_k(sum_i nums[i] zeta_q^i) as L
+    ints of Z[x]/(x^L - 1), q and m the modulus and order of chi, both
+    dividing L: chi(k) = zeta_m^e sits at exponent (L/m)*e and
+    sigma_k(zeta_q^i) at (L/q)*i*k mod L.  For nums = (0, 1) it is tau(chi)."""
+    stride_q = L // chi.modulus
+    stride_m = L // chi.order
+    vec = [0] * L
+    for k, e in chi.unit_values():
+        pos = stride_m * e
+        step = stride_q * k
+        for c in nums:
+            vec[pos] += c
+            pos += step
+            if pos >= L:
+                pos -= L
+    return vec
+
+
 @memo
 def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
-    """Support of tau(chi) in Q(zeta_L) as (exponent, coefficient) pairs.
-
-    chi must be primitive and its modulus and order must divide L;
-    exponents are taken modulo x^L - 1 (unreduced), which keeps the
-    Gauss-sum multiplication sparse.
-    """
-    f = chi.modulus
-    m = chi.order
-    acc: dict[int, int] = {}
-    for k, e in chi.unit_values():
-        idx = ((L // m) * e + (L // f) * k) % L
-        acc[idx] = acc.get(idx, 0) + 1
-    return tuple(sorted((i, c) for i, c in acc.items() if c))
+    """The nonzero (exponent, coefficient) pairs of tau(chi) in
+    Z[x]/(x^L - 1), ascending, for chi primitive with modulus and order
+    dividing L: the term list the coordinate paths hand to _cyclic_mul.
+    Memoized, as reconstruction meets each (chi, L) once per element."""
+    return tuple((i, c) for i, c in enumerate(_twisted_sum(chi, (0, 1), L)) if c)
 
 
 @memo
@@ -323,7 +334,4 @@ def gauss_sum(chi: DirichletCharacter) -> CycElem:
     if chi.conductor() != f:
         raise ValueError("gauss_sum needs a primitive character")
     J = math.lcm(f, chi.order)
-    vec = [0] * J
-    for i, c in _gauss_support(chi, J):
-        vec[i] = c
-    return CycElem._from_ints(J, vec)
+    return CycElem._from_ints(J, _twisted_sum(chi, (0, 1), J))

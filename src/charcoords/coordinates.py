@@ -26,9 +26,10 @@ results.
 
 Cross-field arithmetic always goes through explicit embeddings into
 Q(zeta_L) with L = lcm(n, m).  coord_definitional and reconstruct share
-one exact path: integer numerators times a sparse Gauss-sum support in
-Z[x]/(x^L - 1), handed unreduced to the tensor-basis projection of
-:mod:`charcoords.cyclotomic`, which builds no element of Q(zeta_L).  It
+one exact path in Z[x]/(x^L - 1): the twisted orbit sum
+characters._twisted_sum (the defining sum; at zeta_f, the Gauss sum) times
+the Gauss sum's terms by cyclotomic._cyclic_mul, handed unreduced to the
+tensor-basis projection, which builds no element of Q(zeta_L).  It
 verifies membership of the result in the target field instead of assuming
 it, raising FieldMembershipError on any violation (an internal-consistency
 signal).
@@ -68,9 +69,9 @@ from typing import Mapping, Optional
 
 from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
-from .characters import DirichletCharacter, _gauss_support, enumerate_characters
+from .characters import DirichletCharacter, _gauss_support, _twisted_sum, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
-from .cyclotomic import _KRONECKER_MIN, CycElem, _cyclic_mul, _project_cyclic
+from .cyclotomic import CycElem, _cyclic_mul, _project_cyclic
 from .memo import memo
 
 _METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
@@ -109,25 +110,6 @@ def _bernoulli_cached(r: int, chi: DirichletCharacter) -> CycElem:
     return generalized_bernoulli(r, chi)
 
 
-def _times_gauss(vec: list[int], support, L: int) -> list[int]:
-    """vec * (sum of ct x^t over support) in Z[x]/(x^L - 1), as L ints;
-    vec is dense of length L, support exponents are reduced modulo L."""
-    if min(L - vec.count(0), len(support)) >= _KRONECKER_MIN:
-        g = [0] * L
-        for t, ct in support:
-            g[t] += ct
-        return _cyclic_mul(vec, g, L)
-    out = [0] * L
-    for b, c in enumerate(vec):
-        if c:
-            for t, ct in support:
-                q = b + t
-                if q >= L:
-                    q -= L
-                out[q] += c * ct
-    return out
-
-
 @memo
 def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     """y(chi|a) by the defining sum, computed exactly.
@@ -150,22 +132,9 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
         )
     m = chi.order
     L = math.lcm(n, m)
-    chibar = chi.conjugate()
-    stride_n = L // n
-    stride_m = L // m
-    # any representative in Z[x]/(x^L - 1) will do, so conj(chi)(k) *
-    # sigma_k(a) is a.nums[i] at exponent stride_m*e + stride_n*i*k mod L
-    vec = [0] * L
-    for k, e in chibar.unit_values():
-        pos = stride_m * e
-        step = stride_n * k
-        for c in a.nums:
-            vec[pos] += c
-            pos += step
-            if pos >= L:
-                pos -= L
+    vec = _twisted_sum(chi.conjugate(), a.nums, L)
     chif = chi.primitive_part()
-    prod = _times_gauss(vec, _gauss_support(chif, L), L)
+    prod = _cyclic_mul(vec, _gauss_support(chif, L), L)
     y = _project_cyclic(prod, chif.modulus * a.den, L, m)
     return y if chi.parity() == 1 else -y
 
@@ -311,7 +280,7 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
         dense = [0] * L
         dense[:stride * len(y.nums):stride] = [c * (den // y.den) for c in y.nums]
         taubar = chi.conjugate().primitive_part()
-        prod = _times_gauss(dense, _gauss_support(taubar, L), L)
+        prod = _cyclic_mul(dense, _gauss_support(taubar, L), L)
         vec = list(map(operator.add, vec, prod))
     return _project_cyclic(vec, euler_phi(n) * den, L, n)
 

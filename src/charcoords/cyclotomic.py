@@ -21,14 +21,15 @@ will hold, plus a sign bit, so unpacking is exact for coefficients of any
 size.  Reduction modulo Phi_N folds modulo x^N - 1 and reads the quotient
 off the product with Psi_N = (x^N - 1) / Phi_N (see _cofactor): two
 products, no division loop.  CycElem multiplication, the reduction behind
-every construction, and the Gauss-sum convolution of the coordinate paths
-all use it.
+every construction, and _cyclic_mul, the one product in the group ring
+Z[x]/(x^N - 1) (a dense vector times (exponent, coefficient) terms, as the
+coordinate paths multiply by a Gauss sum), all use it.
 
 Below _KRONECKER_MIN coefficients in the shorter factor (for a reduction:
 the quotient, or the nonzero terms of Phi_N) packing costs more than it
-saves, so the schoolbook loops stay for small fields and for sparse Phi_N
-such as those of prime-power orders; they are also the reference the
-tests compare the kernel against.
+saves, so the schoolbook loops stay for small fields, for sparse Phi_N
+such as those of prime-power orders, and for short Gauss sums; they are
+also the reference the tests compare the kernel against.
 
 Projection to a subfield (:func:`project_to_subfield`, and the coordinate
 paths, which hand over their raw vectors in Z[x]/(x^L - 1)) never reduces
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
+from .arith import _power, _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
 from .memo import memo
 
 Scalar = Union[int, Fraction]
@@ -253,10 +254,25 @@ def _packed_product(
     return out + x, nb
 
 
-def _cyclic_mul(a: Sequence[int], b: Sequence[int], N: int) -> list[int]:
-    """The product a * b in Z[x]/(x^N - 1), as N ints."""
-    x, nb = _packed_product(a, b, N, 1)
-    return _unpack(x, N, nb)
+def _cyclic_mul(vec: Sequence[int], terms: Sequence[tuple[int, int]], N: int) -> list[int]:
+    """vec * (sum of c x^t over the (t, c) in terms) in Z[x]/(x^N - 1), as
+    N ints, for vec dense of length N and every t in 0..N-1.  Packed when
+    vec has _KRONECKER_MIN nonzero entries and terms that many terms."""
+    if min(N - vec.count(0), len(terms)) >= _KRONECKER_MIN:
+        b = [0] * N
+        for t, c in terms:
+            b[t] += c
+        x, nb = _packed_product(vec, b, N, 1)
+        return _unpack(x, N, nb)
+    out = [0] * N
+    for i, a in enumerate(vec):
+        if a:
+            for t, c in terms:
+                q = i + t
+                if q >= N:
+                    q -= N
+                out[q] += a * c
+    return out
 
 
 def _kronecker_reduce(a: Sequence[int], b: Optional[Sequence[int]], N: int) -> list[int]:
@@ -450,17 +466,7 @@ class CycElem:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        # square and multiply, the result starting as the first power taken
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return CycElem.one(self.order) if result is None else result
+        return _power(self, exponent) if exponent else CycElem.one(self.order)
 
     def inverse(self) -> "CycElem":
         """Multiplicative inverse through the Galois norm: with c the

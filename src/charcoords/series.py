@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import _scaled_ints, _schoolbook_mul
+from .arith import _power, _scaled_ints, _schoolbook_mul
 from .combinatorics import cot_power_coeff, stirling_first_unsigned
 
 
@@ -161,12 +161,11 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def power(self, e: int) -> "LaurentSeries":
+        """self^e by square and multiply; a product adds the lows of its
+        factors and keeps their smaller prec - low, so any order agrees."""
         if e < 1:
             raise ValueError("power needs e >= 1")
-        result = self
-        for _ in range(e - 1):
-            result = result * self
-        return result
+        return _power(self, e)
 
     def derivative(self) -> "LaurentSeries":
         out = [(self.low + i) * c for i, c in enumerate(self.nums)]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from charcoords import cyclotomic
 from charcoords.arith import divisors, euler_phi
-from charcoords.coordinates import _times_gauss
 from charcoords.cyclotomic import (
     CycElem,
     FieldMembershipError,
@@ -378,8 +377,8 @@ def test_kronecker_mul_matches_schoolbook(case):
     st.data(),
 )
 def test_cyclic_products_match_schoolbook(N, na, nb, data):
-    """_cyclic_mul and _times_gauss on sparse operands of up to 30 terms,
-    on both sides of the cutoff."""
+    """_cyclic_mul of a dense vector and a term list, each with up to 30
+    terms, on both sides of the cutoff."""
     a = data.draw(int_vectors(na))
     b = data.draw(int_vectors(nb))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
@@ -389,13 +388,10 @@ def test_cyclic_products_match_schoolbook(N, na, nb, data):
     for i, c in terms:
         for j, e in support:
             expected[(i + j) % N] += c * e
-    dense_a, dense_b = [0] * N, [0] * N
+    dense_a = [0] * N
     for i, c in terms:
         dense_a[i] += c
-    for j, e in support:
-        dense_b[j] += e
-    assert cyclotomic._cyclic_mul(dense_a, dense_b, N) == expected
-    assert _times_gauss(dense_a, support, N) == expected
+    assert cyclotomic._cyclic_mul(dense_a, support, N) == expected
 
 
 def test_cofactor_times_phi_is_x_to_the_n_minus_1():

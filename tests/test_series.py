@@ -122,6 +122,18 @@ _coeff_lists = st.lists(
 )
 
 
+@settings(max_examples=100, deadline=None)
+@given(_coeff_lists, st.one_of(st.integers(-3, -1), st.just(0), st.integers(1, 3)), st.integers(1, 12))
+def test_power_matches_repeated_products(xs, low, e):
+    """power(e), by square and multiply, has the fields of s * s * ... * s."""
+    s = LaurentSeries.from_terms(low, xs)
+    product = s
+    for _ in range(e - 1):
+        product = product * s
+    p = s.power(e)
+    assert (p.low, p.nums, p.den, p.prec) == (product.low, product.nums, product.den, product.prec)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_coeff_lists, _coeff_lists, st.integers(-3, 3), st.integers(-3, 3))
 def test_mul_is_the_truncated_cauchy_product(xs, ys, la, lb):
