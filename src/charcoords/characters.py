@@ -319,8 +319,16 @@ def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ..
     """The nonzero (exponent, coefficient) pairs of tau(chi) in
     Z[x]/(x^L - 1), ascending, for chi primitive with modulus and order
     dividing L: the term list the coordinate paths hand to _cyclic_mul.
+    It is _twisted_sum's (0, 1) case read off the units: chi(k) zeta_f^k
+    sits at (L/m)*e + (L/f)*k mod L, so it takes phi(f) steps, not L.
     Memoized, as reconstruction meets each (chi, L) once per element."""
-    return tuple((i, c) for i, c in enumerate(_twisted_sum(chi, (0, 1), L)) if c)
+    stride_f = L // chi.modulus
+    stride_m = L // chi.order
+    terms: dict[int, int] = {}
+    for k, e in chi.unit_values():
+        i = (stride_m * e + stride_f * k) % L
+        terms[i] = terms.get(i, 0) + 1
+    return tuple(sorted(terms.items()))
 
 
 @memo

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .arith import _schoolbook_mul
 from .bernoulli import bernoulli_number
-from .memo import recurrence
+from .memo import memo, recurrence
 
 # row k: S(k, j) for j = 0..k, the coefficients of x(x+1)...(x+k-1)
 _stirling_row = recurrence(lambda: [1], lambda S: _schoolbook_mul(S[-1], (len(S) - 1, 1)))
@@ -51,11 +51,22 @@ def cot_power_coeff(r: int, j: int) -> Fraction:
         raise ValueError("cot_power_coeff needs r >= 1")
     if j < 1 or j > r:
         return Fraction(0)
-    total = sum(
-        (-2) ** (k - j) * math.perm(r - 1, r - k) * math.comb(r, k) * stirling_first_unsigned(k, j)
-        for k in range(j, r + 1)
-    )
-    return Fraction((-1) ** (r - 1) * total, math.factorial(r - 1))
+    return _cot_power_row(r)[j]
+
+
+@memo
+def _cot_power_row(r: int) -> tuple[Fraction, ...]:
+    """cot_power_coeff(r, j) for j = 0..r, in one pass over k for all j:
+    with q_k = (-2)^k (r-1)!/(k-1)! C(r, k), row k of the Stirling table
+    times q_k is added to the j-sums at once, and sum_k q_k S(k, j) is
+    (-2)^j times the integer sum of cot_power_coeff (an exact division)."""
+    acc = [0] * (r + 1)
+    for k in range(1, r + 1):
+        q = (-2) ** k * math.perm(r - 1, r - k) * math.comb(r, k)
+        acc[:k + 1] = [a + q * s for a, s in zip(acc, _stirling_row(k))]
+    den = math.factorial(r - 1)
+    sign = (-1) ** (r - 1)
+    return tuple(Fraction(sign * (a // (-2) ** j), den) for j, a in enumerate(acc))
 
 
 # row i: f_i = B_2i/(2i)!, the coefficients of the series _conv_power raises

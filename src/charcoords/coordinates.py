@@ -15,7 +15,8 @@ This module computes y(chi|a) three independent ways:
   :func:`coords_definitional` gives every character's coordinate from
   one defining sum per Galois orbit (below);
 * :func:`coord_cotangent_closed` and :func:`coord_power_closed` use the
-  closed forms through generalized Bernoulli numbers and Euler factors;
+  closed forms through generalized Bernoulli numbers and Euler factors,
+  summed in integer buckets (below);
 * :func:`coord_power_primitive` uses the Bernoulli-convolution form that
   is valid for primitive characters.
 
@@ -55,7 +56,25 @@ definitions.  The chi^s, s a unit mod m, are the generators of the cyclic
 group chi generates, so these orbits partition the characters mod n and
 one defining sum per orbit gives every coordinate; t = 1 mod n (u = 1),
 possible when s = 1 mod gcd(n, m), is the special case in which sigma_t
-fixes a outright.
+fixes a outright.  The orbits of each n are tabulated once.
+
+Closed forms in integer buckets.  Each closed form is built as m integers,
+one per power of zeta_m, over one denominator, and becomes a CycElem once.
+For the cotangent numbers the Euler factors are expanded first.  A prime
+p | f has conj(chi_f)(p) = 0 and factor 1; let R be the product of the
+other primes dividing n.  conj(chi_f) is completely multiplicative, so
+with conj(chi_f)(p) = zeta_m^e(p) it is zeta_m^e(d) on d | R, e(d) the
+sum of the e(p) over p | d, and
+
+    prod_(p | R) (1 - conj(chi_f)(p) p^-j) = sum_(d | R) mu(d) conj(chi_f)(d) d^-j
+                                          = R^-j * sum_(d | R) mu(d) (R/d)^j zeta_m^e(d):
+
+one term (e(d), mu(d) (R/d)^j) per squarefree d | R, over R^j.  The
+numerators of B_(j, chi_f) times these terms in Z[x]/(x^m - 1), one
+cyclotomic._cyclic_mul at length m, are the buckets, over j f^j R^j
+times the denominator of B.  The power forms are rational combinations
+of those values (or of Bernoulli numbers): their numerators are summed
+over the lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -139,18 +158,31 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     return y if chi.parity() == 1 else -y
 
 
+@memo
+def _galois_orbits(n: int) -> tuple[tuple[DirichletCharacter, tuple], ...]:
+    """The Galois orbits of the characters mod n, in enumeration order of
+    their first members: (chi, ((s, chi^s) for s a unit mod m)), m the
+    order of chi."""
+    orbits, seen = [], set()
+    for chi in enumerate_characters(n):
+        if chi not in seen:
+            members = tuple((s, chi.power(s)) for s in units(chi.order))
+            seen.update(psi for _, psi in members)
+            orbits.append((chi, members))
+    return tuple(orbits)
+
+
 def coords_definitional(n: int, a: CycElem) -> dict[DirichletCharacter, CycElem]:
     """y(chi|a) for every character chi mod n, by the defining sum once per
     Galois orbit (see the module docstring): a character chi of order m
     gives its coordinate to every chi^s, s a unit mod m, as
-    y(chi^s|a) = galois_s(y(chi|a)).
+    y(chi^s|a) = galois_s(y(chi|a)).  The orbits are tabulated once per n.
     """
     ys: dict[DirichletCharacter, CycElem] = {}
-    for chi in enumerate_characters(n):
-        if chi not in ys:
-            y = coord_definitional(chi, a)
-            for s in units(chi.order):
-                ys[chi.power(s)] = y.galois(s)
+    for chi, members in _galois_orbits(n):
+        y = coord_definitional(chi, a)
+        for s, psi in members:
+            ys[psi] = y.galois(s)
     return ys
 
 
@@ -161,18 +193,41 @@ def coord_one(chi: DirichletCharacter) -> CycElem:
     return CycElem.zero(chi.order)
 
 
-def _euler_factor_product(chi_f: DirichletCharacter, n: int, power: int) -> CycElem:
-    """prod over primes p | n of (1 - conj(chi_f)(p) / p^power) in Q(zeta_m).
+@memo
+def _euler_divisors(
+    chi_f: DirichletCharacter, n: int
+) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """R and the (d, mu(d), e(d)) for d | R, where R is the product of the
+    primes p | n that do not divide the conductor and conj(chi_f)(d) =
+    zeta_m^e(d), m the order of chi_f: the Euler factors of every power
+    at once, expanded as in the module docstring.
 
-    Taken literally over all distinct primes dividing n: when p divides the
-    conductor the character value is zero and the factor is 1.
+    Built one prime at a time: p is dropped when conj(chi_f)(p) is zero
+    (p divides the conductor, and its factor is 1); otherwise every d so
+    far gives d and d*p, with mu negated and e(p) added.
     """
     m = chi_f.order
     chibar_f = chi_f.conjugate()
-    total = CycElem.one(m)
+    R, divs = 1, [(1, 1, 0)]
     for p in sorted(prime_factors(n)):
-        total = total * (CycElem.one(m) - chibar_f.eval(p) * Fraction(1, p**power))
-    return total
+        if chibar_f.eval(p).is_zero:
+            continue
+        e = chibar_f.value_exponent(p)
+        divs += [(d * p, -mu, (t + e) % m) for d, mu, t in divs]
+        R *= p
+    return R, tuple(divs)
+
+
+def _combination(m: int, pairs: list[tuple[CycElem, int | Fraction]]) -> CycElem:
+    """sum of q * y over the (y, q) in pairs, y in Q(zeta_m) and q rational,
+    as integer numerators over the lcm of the denominators: one _from_ints."""
+    dens = [y.den * q.denominator for y, q in pairs]
+    den = math.lcm(*dens)
+    acc = [0] * euler_phi(m)
+    for (y, q), d in zip(pairs, dens):
+        s = q.numerator * (den // d)
+        acc = [a + s * c for a, c in zip(acc, y.nums)]
+    return CycElem._from_ints(m, acc, den)
 
 
 @memo
@@ -188,7 +243,7 @@ def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     with f the conductor and B the generalized Bernoulli number of the
     primitive part chi_f itself (not its conjugate; the definitional path
     pins this convention, and the suites re-check it for every complex
-    character in range).
+    character in range), summed in integer buckets (module docstring).
     """
     if j < 1:
         raise ValueError("need j >= 1")
@@ -198,12 +253,12 @@ def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     n = chi.modulus
     chif = chi.primitive_part()
     f = chif.modulus
-    scalar = Fraction(chi.parity() * (2 * n) ** j, j * f**j)
-    return (
-        _euler_factor_product(chif, n, j)
-        * _bernoulli_cached(j, chif)
-        * scalar
-    )
+    R, divs = _euler_divisors(chif, n)
+    b = _bernoulli_cached(j, chif)
+    scale = chi.parity() * (2 * n) ** j
+    terms = [(e, scale * mu * (R // d) ** j) for d, mu, e in divs]
+    prod = _cyclic_mul(list(b.nums) + [0] * (m - len(b.nums)), terms, m)
+    return CycElem._from_ints(m, prod, j * f**j * R**j * b.den)
 
 
 def coord_power_closed(chi: DirichletCharacter, r: int) -> CycElem:
@@ -211,21 +266,20 @@ def coord_power_closed(chi: DirichletCharacter, r: int) -> CycElem:
 
     Assembled by linearity from the cotangent-power expansion: the
     coefficient table cot_power_coeff(r, .), the closed form for cotangent
-    numbers, and y(chi|1) for even r.  Parity-mismatched characters give
-    exact zero.
+    numbers, and y(chi|1) for even r, as one integer sum.  Parity-mismatched
+    characters give exact zero.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     m = chi.order
     if chi.parity() != (-1) ** r:
         return CycElem.zero(m)
-    total = coord_one(chi) if r % 2 == 0 else CycElem.zero(m)
-    for j in range(1, r + 1):
-        if (r - j) % 2 == 0:
-            c = cot_power_coeff(r, j)
-            if c:
-                total = total + coord_cotangent_closed(chi, j) * c
-    return total
+    pairs = [(coord_one(chi), 1)] if r % 2 == 0 else []
+    for j in range(2 - r % 2, r + 1, 2):
+        c = cot_power_coeff(r, j)
+        if c:
+            pairs.append((coord_cotangent_closed(chi, j), c))
+    return _combination(m, pairs)
 
 
 def coord_power_primitive(chi: DirichletCharacter, r: int) -> CycElem:
@@ -233,9 +287,9 @@ def coord_power_primitive(chi: DirichletCharacter, r: int) -> CycElem:
 
         -2^r * sum over j = r mod 2 of conv(r, j) * B_{j, chi} / j!
 
-    with conv the Bernoulli-convolution coefficients.  Raises for
-    non-primitive characters (the formula is only asserted for primitive
-    ones); parity-mismatched requests return exact zero.
+    with conv the Bernoulli-convolution coefficients, as one integer sum.
+    Raises for non-primitive characters (the formula is only asserted for
+    primitive ones); parity-mismatched requests return exact zero.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -244,15 +298,12 @@ def coord_power_primitive(chi: DirichletCharacter, r: int) -> CycElem:
     m = chi.order
     if chi.parity() != (-1) ** r:
         return CycElem.zero(m)
-    total = CycElem.zero(m)
-    for j in range(1, r + 1):
-        if (r - j) % 2 == 0:
-            d = bernoulli_conv_coeff(r, j)
-            if d:
-                total = total + _bernoulli_cached(j, chi) * (
-                    d / math.factorial(j)
-                )
-    return total * Fraction(-(2**r))
+    pairs = []
+    for j in range(2 - r % 2, r + 1, 2):
+        d = bernoulli_conv_coeff(r, j)
+        if d:
+            pairs.append((_bernoulli_cached(j, chi), -(2**r) * d / math.factorial(j)))
+    return _combination(m, pairs)
 
 
 def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem:
@@ -297,32 +348,36 @@ def _root_doubles(m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * e / m) for e in range(m))
 
 
-def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53):
+def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53,
+                     values: Optional[list[tuple[int, int]]] = None):
     """Floating evaluation of sum over units k of chi(k) * (i cot(pi k/n))^r.
 
     This is the floating side of the cross-check suite; it never feeds the
     exact paths.  With precision <= 53 the sum runs in double arithmetic,
     otherwise in mpmath at the requested bits.  The double path reads
     i cot(pi k/n) and zeta_m^e from per-n and per-m tables of the same
-    doubles it would compute term by term, so no value changes.
+    doubles it would compute term by term, so no value changes.  values
+    is chi.unit_values(), for a caller that already holds it.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     n = chi.modulus
     m = chi.order
+    if values is None:
+        values = chi.unit_values()
     # chi(k) = zeta_m^e on the units, the only k summed; it is zero elsewhere
     if precision <= 53:
         icot = _icot_doubles(n)
         roots = _root_doubles(m)
         total = 0j
-        for k, e in chi.unit_values():
+        for k, e in values:
             total += roots[e] * icot[k] ** r
         return total
     import mpmath
 
     with mpmath.workprec(precision + 10):
         total = mpmath.mpc(0)
-        for k, e in chi.unit_values():
+        for k, e in values:
             z = mpmath.expjpi(mpmath.mpf(2 * e) / m)
             total += z * (1j * mpmath.cot(mpmath.pi * k / n)) ** r
         return total

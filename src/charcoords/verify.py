@@ -247,10 +247,11 @@ def suite_float_crosscheck(config: SuiteConfig):
         chars = enumerate_characters(n)
         conjugates = [chi.conjugate() for chi in chars]
         taus = [gauss_sum(chi.primitive_part()).complex_eval() for chi in chars]
+        values = [chi.unit_values() for chi in chars]
         for r in range(1, config.float_r_max + 1):
             ys = coords_definitional(n, icot_power(r, n))
             for idx, chi in enumerate(chars):
-                left = direct_sum_float(chi, r)
+                left = direct_sum_float(chi, r, values=values[idx])
                 right = ys[conjugates[idx]].complex_eval() * taus[idx]
                 err = abs(left - right)
                 inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
@@ -262,11 +263,12 @@ def suite_reconstruction(config: SuiteConfig):
     """Round trip a -> coordinates -> a for 1, i*cot, its powers, and
     cotangent numbers, over n <= recon_n_max.  1 enters as the image of
     the rational 1 under Q -> Q(zeta_n), and i*cot as the field quotient
-    (1 + zeta_n)/(1 - zeta_n), not as icot_value's integer sum, so the
-    sweep also runs CycElem.embed and CycElem.inverse."""
+    (1 + zeta_n)/(1 - zeta_n) of that 1, not as icot_value's integer sum,
+    so the sweep also runs CycElem.embed, CycElem.inverse and the field
+    difference."""
     for n in range(2, config.recon_n_max + 1):
-        z = CycElem.zeta(n)
-        elements = [("one", CycElem.one().embed(n)), ("icot", (1 + z) / (1 - z))]
+        z, one = CycElem.zeta(n), CycElem.one().embed(n)
+        elements = [("one", one), ("icot", (one + z) / (one - z))]
         elements += [
             ("icot_power_%d" % r, icot_power(r, n))
             for r in range(2, config.recon_r_max + 1)

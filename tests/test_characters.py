@@ -4,6 +4,8 @@ import pytest
 
 from charcoords.arith import divisors, units
 from charcoords.characters import (
+    _gauss_support,
+    _twisted_sum,
     character_group,
     enumerate_characters,
     gauss_sum,
@@ -225,6 +227,22 @@ def test_gauss_sum_matches_defining_sum():
             for k in units(f):
                 total = total + chi.eval(k).embed(J) * CycElem.zeta(f, k).embed(J)
             assert gauss_sum(chi) == total
+
+
+def test_gauss_support_is_the_nonzero_part_of_the_dense_sum():
+    """A cold _gauss_support, read off the units, equals the ascending
+    nonzero entries of the dense twisted sum for tau(chi), for every
+    primitive character of conductor f <= 40 and L = lcm(f, m) times 1, 2
+    and 3."""
+    for f in range(3, 41):
+        for chi in enumerate_characters(f):
+            if chi.conductor() != f:
+                continue
+            for k in (1, 2, 3):
+                L = k * math.lcm(f, chi.order)
+                dense = _twisted_sum(chi, (0, 1), L)
+                expected = tuple((i, c) for i, c in enumerate(dense) if c)
+                assert _gauss_support.__wrapped__(chi, L) == expected, (f, chi.index, L)
 
 
 def test_mod8_group_convention():

@@ -36,6 +36,20 @@ def test_cot_power_coeff_values():
     assert cot_power_coeff(5, 6) == 0
 
 
+def test_cot_power_coeff_rows_match_the_termwise_sum():
+    """Each row, built in one pass over k for all j, equals the literal sum
+    (-1)^(r-1) sum_(k=j..r) (-2)^(k-j)/(k-1)! C(r, k) S(k, j) for every
+    1 <= j <= r <= 40."""
+    for r in range(1, 41):
+        for j in range(1, r + 1):
+            literal = (-1) ** (r - 1) * sum(
+                F((-2) ** (k - j) * math.comb(r, k) * stirling_first_unsigned(k, j),
+                  math.factorial(k - 1))
+                for k in range(j, r + 1)
+            )
+            assert cot_power_coeff(r, j) == literal, (r, j)
+
+
 def test_cot_power_coeff_parity_vanishing():
     for r in range(1, 16):
         for j in range(1, r + 1):

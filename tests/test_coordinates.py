@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charcoords.arith import euler_phi, units
+from charcoords.arith import euler_phi, prime_factors, units
 from charcoords.characters import enumerate_characters, gauss_sum
 from charcoords.coordinates import (
     CoordReport,
+    _euler_divisors,
     coord_cotangent_closed,
     coord_definitional,
     coord_one,
@@ -147,6 +148,27 @@ def test_imprimitive_euler_factors():
                 if j == 1:
                     # chi(-1)*(24/4)*(1 - chibar_f(3)/3)*(-1/2) with chi(3)=-1
                     assert closed == CycElem.from_rational(4, 2)
+
+
+def test_euler_terms_match_the_literal_product():
+    """The expanded Euler terms of coord_cotangent_closed, sum over d | R of
+    mu(d) (R/d)^j zeta_m^e(d) over R^j, equal the literal product over the
+    primes p | n of the CycElem factors (1 - conj(chi_f)(p) p^-j), for
+    every character mod n <= 60 and every j <= 8."""
+    for n in range(2, 61):
+        primes = sorted(prime_factors(n))
+        for chi in enumerate_characters(n):
+            chif = chi.primitive_part()
+            m = chif.order
+            R, divs = _euler_divisors(chif, n)
+            for j in range(1, 9):
+                literal = CycElem.one(m)
+                for p in primes:
+                    literal = literal * (1 - chif.conjugate().eval(p) * F(1, p**j))
+                buckets = [0] * m
+                for d, mu, e in divs:
+                    buckets[e] += mu * (R // d) ** j
+                assert CycElem._from_ints(m, buckets, R**j) == literal, (n, chi.index, j)
 
 
 def test_reconstruct_round_trip():

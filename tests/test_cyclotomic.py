@@ -369,21 +369,29 @@ def test_kronecker_mul_matches_schoolbook(case):
     assert x * y == CycElem._from_ints(N, expected, 15)
 
 
-@settings(max_examples=40, deadline=None)
+K = cyclotomic._KRONECKER_MIN
+CUTOFF_SIZES = st.one_of(st.integers(0, 30), st.sampled_from((K - 1, K, K + 1)))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from((1, 2, 12, 105, 506)),
-    st.integers(0, 30),
-    st.integers(0, 30),
+    CUTOFF_SIZES,
+    CUTOFF_SIZES,
+    st.sampled_from((None, 1, 3)),
     st.data(),
 )
-def test_cyclic_products_match_schoolbook(N, na, nb, data):
+def test_cyclic_products_match_schoolbook(N, na, nb, spread, data):
     """_cyclic_mul of a dense vector and a term list, each with up to 30
-    terms, on both sides of the cutoff."""
+    terms or one of _KRONECKER_MIN - 1, _KRONECKER_MIN and
+    _KRONECKER_MIN + 1, so on both sides of the cutoff; the term
+    exponents come from all of 0..N-1 or, repeated, from the first one or
+    three."""
     a = data.draw(int_vectors(na))
     b = data.draw(int_vectors(nb))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     terms = [(rng.randrange(N), c) for c in a]
-    support = [(rng.randrange(N), c) for c in b]
+    support = [(rng.randrange(min(spread or N, N)), c) for c in b]
     expected = [0] * N
     for i, c in terms:
         for j, e in support:
@@ -392,6 +400,31 @@ def test_cyclic_products_match_schoolbook(N, na, nb, data):
     for i, c in terms:
         dense_a[i] += c
     assert cyclotomic._cyclic_mul(dense_a, support, N) == expected
+
+
+@pytest.mark.parametrize("N", (24, 105, 2162))
+@pytest.mark.parametrize("nonzero", (K - 1, K, K + 1))
+@pytest.mark.parametrize("count", (K - 1, K, K + 1, 46))
+def test_cyclic_mul_branches_at_the_cutoff(monkeypatch, N, nonzero, count):
+    """Exactly nonzero entries and count terms, half of them on repeated
+    exponents: the packed branch runs when both reach _KRONECKER_MIN, and
+    both branches give the schoolbook product."""
+    rng = random.Random(N * 1000 + nonzero * 100 + count)
+    vec = [0] * N
+    for i in rng.sample(range(N), nonzero):
+        vec[i] = rng.choice((-1, 1)) * rng.randrange(1, 2**70)
+    exponents = [rng.randrange(N) for _ in range(count - count // 2)]
+    exponents += exponents[:count // 2]
+    terms = [(t, rng.randint(-(2**40), 2**40) or 1) for t in exponents]
+    expected = [0] * N
+    for i, a in enumerate(vec):
+        for t, c in terms:
+            expected[(i + t) % N] += a * c
+    packs = []
+    pack = cyclotomic._pack
+    monkeypatch.setattr(cyclotomic, "_pack", lambda v, nb: packs.append(nb) or pack(v, nb))
+    assert cyclotomic._cyclic_mul(vec, terms, N) == expected
+    assert bool(packs) == (min(nonzero, count) >= K)
 
 
 def test_cofactor_times_phi_is_x_to_the_n_minus_1():

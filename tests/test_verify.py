@@ -138,6 +138,34 @@ def test_series_oracle_catches_a_planted_fault(monkeypatch, module, name, at, de
             assert f.lhs != f.rhs
 
 
+def test_closed_forms_catch_a_flipped_euler_term(monkeypatch):
+    """The factor (1 - conj(chi_f)(3) 3^-j) turned into (1 + ...): every
+    expanded Euler term with 3 | d changes sign.  Closed-form cases fail in
+    both suites, and only for characters mod n with 3 | n and 3 not
+    dividing the conductor, the only ones whose Euler product has that
+    factor."""
+    euler_divisors = coordinates._euler_divisors
+
+    def flipped(chi_f, n):
+        R, divs = euler_divisors(chi_f, n)
+        return R, tuple((d, -mu if d % 3 == 0 else mu, e) for d, mu, e in divs)
+
+    clear_memos()
+    monkeypatch.setattr(coordinates, "_euler_divisors", flipped)
+    cfg = config_with_overrides(MINI, suites=("power_closed_form", "cotnum_closed_form"),
+                                n_max=15)
+    try:
+        results = run_suites(cfg)
+    finally:
+        clear_memos()
+    for result in results:
+        assert result.failures, result.name
+        for f in result.failures:
+            n = f.inputs["n"]
+            chi = characters.enumerate_characters(n)[f.inputs["char_index"]]
+            assert n % 3 == 0 and chi.conductor() % 3 != 0, f.inputs
+
+
 def test_float_crosscheck_records_the_literal_two_factor_errors():
     """At a tolerance below every rounding error, each nonzero error is a
     record, and each record's error is the literal |direct sum - y * tau|."""
