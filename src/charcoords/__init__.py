@@ -35,6 +35,7 @@ from .coordinates import (
     coord_power_closed,
     coord_power_primitive,
     coords_definitional,
+    coords_definitional_many,
     direct_sum_float,
     reconstruct,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "coord_power_closed",
     "coord_power_primitive",
     "coords_definitional",
+    "coords_definitional_many",
     "direct_sum_float",
     "reconstruct",
     "CotDerivPoly",

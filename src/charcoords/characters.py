@@ -164,6 +164,13 @@ class DirichletCharacter:
             (e * m) // comp.order
             for comp, e in zip(group.components, self.exponents)
         )
+        # every memo and dict lookup hashes the character, and every closed
+        # form and defining sum asks its parity: both are fixed at construction
+        self._hash = hash((group.modulus, self.exponents))
+        e = self.value_exponent(group.modulus - 1)
+        if e and 2 * e != m:
+            raise ArithmeticError("chi(-1) is not +-1")
+        self._parity = -1 if e else 1
 
     # value_order is a synonym: values generate Q(zeta_order)
     @property
@@ -216,12 +223,7 @@ class DirichletCharacter:
 
     def parity(self) -> int:
         """chi(-1), i.e. +1 for even characters and -1 for odd ones."""
-        e = self.value_exponent(self.modulus - 1)
-        if e == 0:
-            return 1
-        if 2 * e != self.order:
-            raise ArithmeticError("chi(-1) is not +-1")
-        return -1
+        return self._parity
 
     def power(self, s: int) -> "DirichletCharacter":
         """chi^s, k -> chi(k)^s (exponent vector times s), the shared instance."""
@@ -272,7 +274,7 @@ class DirichletCharacter:
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.exponents))
+        return self._hash
 
     def __repr__(self):
         return "DirichletCharacter(modulus=%d, exponents=%s)" % (

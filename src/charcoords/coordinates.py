@@ -13,7 +13,9 @@ This module computes y(chi|a) three independent ways:
 
 * :func:`coord_definitional` evaluates the defining sum exactly, and
   :func:`coords_definitional` gives every character's coordinate from
-  one defining sum per Galois orbit (below);
+  one defining sum per Galois orbit (below), which
+  :func:`coords_definitional_many` runs for many elements at once in
+  element lanes (below);
 * :func:`coord_cotangent_closed` and :func:`coord_power_closed` use the
   closed forms through generalized Bernoulli numbers and Euler factors,
   summed in integer buckets (below);
@@ -58,6 +60,30 @@ one defining sum per orbit gives every coordinate; t = 1 mod n (u = 1),
 possible when s = 1 mod gcd(n, m), is the special case in which sigma_t
 fixes a outright.  The orbits of each n are tabulated once.
 
+Element lanes.  The defining sum, the Gauss-sum product and the projection
+are Z-linear in the numerators of a and run unchanged on any ints, so the
+elements a_0 .. a_(K-1) of one modulus share one pass: coefficient i enters
+as the one integer sum_t c_t,i 2^(8 nb t), c_t the numerators of a_t, with
+lane t holding element t (cyclotomic._pack), and each projected
+coordinate splits back into its K lanes (cyclotomic._unpack), each lane
+then over its own denominator f * den_t.  The split is exact when every
+lane value, at every stage, is below 2^(8 nb - 1) in size; with
+c = max |c_t,i| over the batch:
+
+* the twisted sum puts at most one entry per unit k on each position
+  (for fixed k, i -> (L/n) k i mod L is one-to-one on i < n), so its
+  values are at most phi(n) * c;
+* the Gauss sum's terms are unit counts summing to phi(f), so the
+  product multiplies that by at most phi(f);
+* each projection axis at most doubles a value, since a kept digit takes
+  one top digit per axis, so 2^w bounds the growth, w the number of
+  primes dividing L.
+
+So nb is the fewest bytes holding 2^w phi(f) phi(n) c with a sign bit.  A
+packed value is zero exactly when every lane is zero, so the
+FieldMembershipError check covers every element.  One element is its own
+packed value: nothing is packed or split.
+
 Closed forms in integer buckets.  Each closed form is built as m integers,
 one per power of zeta_m, over one denominator, and becomes a CycElem once.
 For the cotangent numbers the Euler factors are expanded first.  A prime
@@ -84,13 +110,21 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, _twisted_sum, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
-from .cyclotomic import CycElem, _cyclic_mul, _project_cyclic
+from .cyclotomic import (
+    CycElem,
+    _cyclic_mul,
+    _pack,
+    _project_cyclic,
+    _project_ints,
+    _tensor_axes,
+    _unpack,
+)
 from .memo import memo
 
 _METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
@@ -129,9 +163,14 @@ def _bernoulli_cached(r: int, chi: DirichletCharacter) -> CycElem:
     return generalized_bernoulli(r, chi)
 
 
-@memo
-def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
-    """y(chi|a) by the defining sum, computed exactly.
+def _lane_width(bound: int) -> int:
+    """Bytes per lane for lane values of absolute value at most bound: the
+    fewest that hold them with a sign bit."""
+    return bound.bit_length() // 8 + 1
+
+
+def _definitional_lanes(chi: DirichletCharacter, elements: Sequence[CycElem]) -> list[CycElem]:
+    """y(chi|a) for every a in elements, by one defining sum in lanes.
 
     The sum over sigma_k(a) weighted by conj(chi)(k) is accumulated in
     Z[x]/(x^L - 1), L = lcm(n, m), then multiplied by the inverse of the
@@ -140,22 +179,51 @@ def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
     tau(psi) tau(conj(psi)) = psi(-1) f, an identity the test suite checks
     independently over every conductor in range.  The result is verified
     to lie in Q(zeta_m) and returned there.
+
+    The numerators of all elements share one pass (module docstring): lane
+    t of each packed coefficient holds element t, at a width from the
+    proven bound; a single element is its own packed value.
     """
     n = chi.modulus
     if n < 2:
         raise ValueError("coordinates need modulus >= 2")
-    if a.order != n:
-        raise ValueError(
-            "element of order %d cannot be paired with a character mod %d"
-            % (a.order, n)
-        )
+    for a in elements:
+        if a.order != n:
+            raise ValueError(
+                "element of order %d cannot be paired with a character mod %d"
+                % (a.order, n)
+            )
     m = chi.order
     L = math.lcm(n, m)
-    vec = _twisted_sum(chi.conjugate(), a.nums, L)
     chif = chi.primitive_part()
+    f = chif.modulus
+    k = len(elements)
+    if k == 1:
+        nums = elements[0].nums
+    else:
+        top = max(max(map(abs, a.nums)) for a in elements)
+        nb = _lane_width(2 ** len(_tensor_axes(L)) * euler_phi(f) * euler_phi(n) * top)
+        # coefficient-major, lane-minor: read back at k lanes per coefficient
+        flat = [c for column in zip(*(a.nums for a in elements)) for c in column]
+        nums = _unpack(_pack(flat, nb), euler_phi(n), k * nb)
+    vec = _twisted_sum(chi.conjugate(), nums, L)
     prod = _cyclic_mul(vec, _gauss_support(chif, L), L)
-    y = _project_cyclic(prod, chif.modulus * a.den, L, m)
-    return y if chi.parity() == 1 else -y
+    w = _project_ints(prod, L, m)
+    if chi.parity() == -1:
+        w = [-c for c in w]
+    if k == 1:
+        lanes = [w]
+    else:
+        flat = _unpack(_pack(w, k * nb), m * k, nb)
+        lanes = [flat[t::k] for t in range(k)]
+    return [CycElem._from_ints(m, lane, f * a.den) for lane, a in zip(lanes, elements)]
+
+
+@memo
+def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
+    """y(chi|a) by the defining sum, computed exactly: the one-element call
+    of the lane kernel (see _definitional_lanes)."""
+    return _definitional_lanes(chi, (a,))[0]
 
 
 @memo
@@ -172,18 +240,30 @@ def _galois_orbits(n: int) -> tuple[tuple[DirichletCharacter, tuple], ...]:
     return tuple(orbits)
 
 
-def coords_definitional(n: int, a: CycElem) -> dict[DirichletCharacter, CycElem]:
-    """y(chi|a) for every character chi mod n, by the defining sum once per
-    Galois orbit (see the module docstring): a character chi of order m
-    gives its coordinate to every chi^s, s a unit mod m, as
+def coords_definitional_many(
+    n: int, elements: Sequence[CycElem]
+) -> list[dict[DirichletCharacter, CycElem]]:
+    """For each a in elements, y(chi|a) for every character chi mod n, by
+    the defining sum once per Galois orbit for all the elements at once
+    (see the module docstring): a character chi of order m gives its
+    coordinate to every chi^s, s a unit mod m, as
     y(chi^s|a) = galois_s(y(chi|a)).  The orbits are tabulated once per n.
     """
-    ys: dict[DirichletCharacter, CycElem] = {}
+    elements = tuple(elements)
+    out: list[dict[DirichletCharacter, CycElem]] = [{} for _ in elements]
+    if not elements:
+        return out
     for chi, members in _galois_orbits(n):
-        y = coord_definitional(chi, a)
-        for s, psi in members:
-            ys[psi] = y.galois(s)
-    return ys
+        for ys, y in zip(out, _definitional_lanes(chi, elements)):
+            for s, psi in members:
+                ys[psi] = y.galois(s)
+    return out
+
+
+def coords_definitional(n: int, a: CycElem) -> dict[DirichletCharacter, CycElem]:
+    """y(chi|a) for every character chi mod n: the one-element call of
+    coords_definitional_many."""
+    return coords_definitional_many(n, (a,))[0]
 
 
 def coord_one(chi: DirichletCharacter) -> CycElem:

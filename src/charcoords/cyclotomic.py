@@ -179,11 +179,15 @@ def _schoolbook_reduce(coeffs: Sequence[int], N: int) -> list[int]:
 # Length of the shorter factor from which the packed kernels beat the
 # schoolbook loops, measured: for CycElem products the schoolbook loops are
 # a little faster at phi(N) = 8 and the kernel is 1.5x faster at 12.  For
-# the shifted adds of _cyclic_mul, replaying 3,000 of the products the
-# closed-vs-definitional, float and reconstruction suites make (N up to
-# 3,422): the term-by-term loop alone took 0.48 s, the shifted adds alone
-# 0.10 s, this cutoff at 8, 10 or 12 0.073-0.074 s, at 4 or 16 0.078-0.079 s
-# and at 24 0.10 s, against 0.066 s for the faster side of every product.
+# the shifted adds of _cyclic_mul, replaying 3,000 of the 12,976 products
+# the closed-vs-definitional, float and reconstruction suites make (N up to
+# 3,422), the defining sums among them packed in element lanes: the
+# term-by-term loop alone took 0.23 s, the shifted adds alone 0.30 s, this
+# cutoff at 12 0.215 s, at 4, 8 or 10 0.218-0.237 s and at 16 or 24
+# 0.200-0.205 s, against 0.151 s for the faster side of every product.  The
+# shifted adds win only on the lane-packed sums (0.045 s against 0.126 s
+# term by term); on the 2,765 products of entries below 2^62 the loop is
+# the faster side in all but 7, by 39 us in all.
 _KRONECKER_MIN = 12
 
 # array typecodes by item size, for packing at C speed when nb <= 8
@@ -301,8 +305,7 @@ def _kronecker_reduce(a: Sequence[int], b: Optional[Sequence[int]], N: int) -> l
     """a * b (just a when b is None) modulo Phi_N, as phi(N) ints: fold
     modulo x^N - 1, which Phi_N divides, then take the quotient from the
     top of the product with Psi_N (see _cofactor)."""
-    psi, gain = _cofactor(N)
-    x, nb = _packed_product(a, b, N, gain)
+    x, nb = _packed_product(a, b, N, _cofactor(N)[1])
     d = euler_phi(N)
     if N == d:  # N = 1: Phi_1 = x - 1, and the fold already reduced
         return _unpack(x, d, nb)
@@ -311,8 +314,16 @@ def _kronecker_reduce(a: Sequence[int], b: Optional[Sequence[int]], N: int) -> l
     # the part below it is a signed value under half its unit in size
     low, top = 8 * nb * d, 8 * nb * (N - d)
     hi = (x + (1 << (low - 1))) >> low
-    q = (hi * _pack(psi, nb) + (1 << (top - 1))) >> top
-    return _unpack(x - q * _pack(cyclotomic_polynomial(N), nb), d, nb)
+    packed_psi, packed_phi = _packed_moduli(N, nb)
+    q = (hi * packed_psi + (1 << (top - 1))) >> top
+    return _unpack(x - q * packed_phi, d, nb)
+
+
+@memo
+def _packed_moduli(N: int, nb: int) -> tuple[int, int]:
+    """Psi_N and Phi_N packed with nb bytes per coefficient, for
+    _kronecker_reduce: each (N, nb) is packed once."""
+    return _pack(_cofactor(N)[0], nb), _pack(cyclotomic_polynomial(N), nb)
 
 
 def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
@@ -607,7 +618,13 @@ def _tensor_axes(L: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
 
 def _project_cyclic(ints: Sequence[int], den: int, L: int, m: int) -> CycElem:
     """sum(ints[i] * zeta_L^i) / den as an element of Q(zeta_m), for L ints,
-    m | L and den > 0, or FieldMembershipError if it does not lie there.
+    m | L and den > 0, or FieldMembershipError if it does not lie there."""
+    return CycElem._from_ints(m, _project_ints(ints, L, m), den)
+
+
+def _project_ints(ints: Sequence[int], L: int, m: int) -> list[int]:
+    """The m ints w with sum(ints[i] * zeta_L^i) = sum(w[i] * zeta_m^i), for
+    L ints and m | L, or FieldMembershipError if the value is not in Q(zeta_m).
 
     The coordinates stay at their exponents: once every axis is reduced,
     the nonzero entries are the coordinates in the basis prod zeta_q^(d_q),
@@ -630,7 +647,7 @@ def _project_cyclic(ints: Sequence[int], den: int, L: int, m: int) -> CycElem:
     w = v[::L // m]
     if v.count(0) - w.count(0) != L - m:
         raise FieldMembershipError("value does not lie in Q(zeta_%d)" % m)
-    return CycElem._from_ints(m, w, den)
+    return w
 
 
 def project_to_subfield(a: CycElem, m: int) -> CycElem:

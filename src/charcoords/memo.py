@@ -6,11 +6,11 @@ as one memo entry: a list grown in a loop under the package's one lock."""
 import threading
 from functools import lru_cache
 
-# The largest memo holds 1,662 keys on the exact suites
-# (coord_cotangent_closed), 1,213 on float_crosscheck and 2,244 on a default
-# verify run (coord_definitional, one key per Galois orbit and element in the
-# suites): none is evicted at the default ranges, and a long-lived process
-# stays capped.
+# The largest memo holds 1,662 keys on the exact suites and on a default
+# verify run (coord_cotangent_closed) and 774 on float_crosscheck
+# (DirichletCharacter.conductor); the suites' definitional coordinates are
+# computed in lanes and not memoized: none is evicted at the default ranges,
+# and a long-lived process stays capped.
 MEMO_MAXSIZE = 8192
 _MEMOS = []
 _GROWTH_LOCK = threading.RLock()  # re-entrant: a step may read another recurrence's rows

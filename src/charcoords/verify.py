@@ -6,9 +6,11 @@ computed values, and ok None when the check is lhs == rhs.  One recording
 loop counts the cases, times the suite and records every mismatch
 (failure-fast is off so convention bugs surface in full); a suite with no
 case is refused.  The three closed-form suites share one sweep against the
-definitional coordinate.  Every suite reads its definitional coordinates
-from coords_definitional: one defining sum per Galois orbit of characters,
-the other members by CycElem.galois.  Exact suites never consult floating
+definitional coordinate.  Every suite builds the elements of a modulus
+first and takes all their definitional coordinates from one
+coords_definitional_many call: one defining sum per Galois orbit of
+characters for all the elements at once, in element lanes, the other
+members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
 the coordinate and the Gauss sum, each evaluated in its own field.  It
@@ -41,7 +43,7 @@ from .coordinates import (
     coord_cotangent_closed,
     coord_power_closed,
     coord_power_primitive,
-    coords_definitional,
+    coords_definitional_many,
     direct_sum_float,
     reconstruct,
 )
@@ -171,9 +173,8 @@ def _closed_vs_definitional(moduli, degrees, key, element, closed, methods,
     """
     for n in moduli:
         chars = enumerate_characters(n)
-        for d in degrees:
-            a = element(d, n)
-            ys = coords_definitional(n, a)
+        elements = [element(d, n) for d in degrees]
+        for d, a, ys in zip(degrees, elements, coords_definitional_many(n, elements)):
             if not primitive:
                 mirror = a if d % 2 == 0 else -a
                 yield {"n": n, key: d, "purity": "conjugate"}, a.conjugate(), mirror, None
@@ -248,8 +249,9 @@ def suite_float_crosscheck(config: SuiteConfig):
         conjugates = [chi.conjugate() for chi in chars]
         taus = [gauss_sum(chi.primitive_part()).complex_eval() for chi in chars]
         values = [chi.unit_values() for chi in chars]
-        for r in range(1, config.float_r_max + 1):
-            ys = coords_definitional(n, icot_power(r, n))
+        powers = range(1, config.float_r_max + 1)
+        coords = coords_definitional_many(n, [icot_power(r, n) for r in powers])
+        for r, ys in zip(powers, coords):
             for idx, chi in enumerate(chars):
                 left = direct_sum_float(chi, r, values=values[idx])
                 right = ys[conjugates[idx]].complex_eval() * taus[idx]
@@ -277,9 +279,9 @@ def suite_reconstruction(config: SuiteConfig):
             ("cotangent_number_%d" % j, cotangent_number(j, n))
             for j in range(1, config.recon_j_max + 1)
         ]
-        for label, a in elements:
-            coords = coords_definitional(n, a)
-            yield {"n": n, "element": label}, reconstruct(coords, n), a, None
+        coords = coords_definitional_many(n, [a for _, a in elements])
+        for (label, a), ys in zip(elements, coords):
+            yield {"n": n, "element": label}, reconstruct(ys, n), a, None
 
 
 @_recorded

@@ -77,6 +77,32 @@ def test_parity():
     assert quad.order == 2 and quad.parity() == 1
 
 
+def test_hash_and_parity_are_fixed_at_construction():
+    """The stored hash and parity are the values the character's data give:
+    hash((n, exponents)) and chi(-1) read off the log table; a character
+    built directly, not interned, hashes equal and finds the same memo
+    entry."""
+    from charcoords.characters import DirichletCharacter
+    from charcoords.coordinates import coord_cotangent_closed
+
+    for n in range(2, 61):
+        for chi in enumerate_characters(n):
+            assert hash(chi) == hash((n, chi.exponents))
+            e = chi.value_exponent(n - 1)
+            assert chi.parity() == (1 if e == 0 else -1)
+            assert e == 0 or 2 * e == chi.order
+            twin = DirichletCharacter(chi.group, chi.exponents)
+            assert twin is not chi and twin == chi and hash(twin) == hash(chi)
+            assert twin.parity() == chi.parity()
+    chi = enumerate_characters(35)[7]
+    j = 1 if chi.parity() == -1 else 2
+    value = coord_cotangent_closed(chi, j)
+    hits = coord_cotangent_closed.cache_info().hits
+    twin = DirichletCharacter(chi.group, chi.exponents)
+    assert coord_cotangent_closed(twin, j) is value
+    assert coord_cotangent_closed.cache_info().hits == hits + 1
+
+
 def test_conductor():
     for n in (4, 6, 9, 12, 30):
         assert enumerate_characters(n)[0].conductor() == 1

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from charcoords.arith import euler_phi, prime_factors, units
 from charcoords.characters import enumerate_characters, gauss_sum
+from charcoords import coordinates
 from charcoords.coordinates import (
     CoordReport,
+    _definitional_lanes,
     _euler_divisors,
     coord_cotangent_closed,
     coord_definitional,
@@ -18,6 +20,7 @@ from charcoords.coordinates import (
     coord_power_closed,
     coord_power_primitive,
     coords_definitional,
+    coords_definitional_many,
     direct_sum_float,
     reconstruct,
 )
@@ -196,6 +199,56 @@ def test_orbit_coordinates_match_definitional():
             assert set(ys) == set(chars)
             for chi in chars:
                 assert ys[chi] == coord_definitional.__wrapped__(chi, a), (n, chi.index)
+
+
+def _lane_batch(rng, n, size):
+    """size elements of Q(zeta_n) in turn (i cot)^r, cotangent numbers and
+    seeded dense elements with denominators, whose numerators take both
+    signs and reach the largest numerator of the batch's other elements."""
+    structured = [icot_power(1 + t // 3, n) if t % 3 == 0 else cotangent_number(1 + t // 3, n)
+                  for t in range(size) if t % 3 != 2]
+    top = max([max(map(abs, a.nums)) for a in structured] + [1])
+    batch = []
+    for t in range(size):
+        if t % 3 == 2:
+            nums = [rng.randint(-top, top) for _ in range(euler_phi(n))]
+            nums[rng.randrange(len(nums))] = rng.choice((top, -top))
+            batch.append(CycElem._from_ints(n, nums, rng.randint(1, 60)))
+        else:
+            batch.append(structured.pop(0))
+    return batch
+
+
+def test_lanes_match_the_one_element_defining_sum():
+    """For every n <= 64, on batches of 1 to 13 elements: the lane-packed
+    defining sum of each orbit's first character equals the one-element
+    defining sum of every element, and coords_definitional_many gives each
+    element's coordinates for every character as coords_definitional does."""
+    rng = random.Random(20251019)
+    for n in range(2, 65):
+        batch = _lane_batch(rng, n, 1 + n % 13)
+        for chi, _ in coordinates._galois_orbits(n):
+            lanes = _definitional_lanes(chi, batch)
+            for t, a in enumerate(batch):
+                assert lanes[t] == coord_definitional.__wrapped__(chi, a), (n, chi.index, t)
+        assert coords_definitional_many(n, batch) == [coords_definitional(n, a) for a in batch]
+    assert coords_definitional_many(7, []) == []
+
+
+def test_lanes_one_byte_short_of_the_bound_overflow(monkeypatch):
+    """The lane width is the fewest bytes that hold the proven bound, and
+    the bound is nearly reached: for the principal character mod 7 and
+    a = M - M (zeta + ... + zeta^5) the coordinate is the trace 11 M against
+    a bound of 2 * 6 * M.  With M = 5461 that needs 3 bytes; one byte fewer
+    corrupts the lane."""
+    M = 5461
+    a = CycElem._from_ints(7, [M] + [-M] * 5)
+    batch = [a, icot_power(2, 7)]
+    chi0 = enumerate_characters(7)[0]
+    assert _definitional_lanes(chi0, batch)[0] == CycElem.from_rational(11 * M)
+    assert coordinates._lane_width(2 * 6 * M) == 3
+    monkeypatch.setattr(coordinates, "_lane_width", lambda bound: bound.bit_length() // 8)
+    assert _definitional_lanes(chi0, batch)[0] != coord_definitional.__wrapped__(chi0, a)
 
 
 def test_reconstruct_rejects_missing():

@@ -198,7 +198,8 @@ def test_result_json_shape():
     assert data["cases"] > 0
 
 
-# every public operation of the computational modules, by defining code object
+# every public operation of the computational modules, by defining code object;
+# for the defining sum, the lane kernel the suites run in coord_definitional's place
 _COVERED_OPS = [
     cyclotomic.cyclotomic_polynomial,
     CycElem.__add__,
@@ -228,7 +229,7 @@ _COVERED_OPS = [
     cotangent.icot_power,
     cotangent.cot_derivative_poly,
     cotangent.cotangent_number,
-    coordinates.coord_definitional,
+    coordinates._definitional_lanes,
     coordinates.coord_cotangent_closed,
     coordinates.coord_one,
     coordinates.coord_power_closed,
