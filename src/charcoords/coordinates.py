@@ -428,36 +428,24 @@ def _root_doubles(m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * e / m) for e in range(m))
 
 
-def direct_sum_float(chi: DirichletCharacter, r: int, precision: int = 53,
-                     values: Optional[list[tuple[int, int]]] = None):
-    """Floating evaluation of sum over units k of chi(k) * (i cot(pi k/n))^r.
+def direct_sum_float(chi: DirichletCharacter, r: int,
+                     values: Optional[list[tuple[int, int]]] = None) -> complex:
+    """Double-precision evaluation of sum over units k of chi(k) * (i cot(pi k/n))^r.
 
     This is the floating side of the cross-check suite; it never feeds the
-    exact paths.  With precision <= 53 the sum runs in double arithmetic,
-    otherwise in mpmath at the requested bits.  The double path reads
-    i cot(pi k/n) and zeta_m^e from per-n and per-m tables of the same
-    doubles it would compute term by term, so no value changes.  values
-    is chi.unit_values(), for a caller that already holds it.
+    exact paths.  It reads i cot(pi k/n) and zeta_m^e from per-n and per-m
+    tables of the same doubles it would compute term by term, so no value
+    changes.  values is chi.unit_values(), for a caller that already holds
+    it.
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    n = chi.modulus
-    m = chi.order
     if values is None:
         values = chi.unit_values()
+    icot = _icot_doubles(chi.modulus)
+    roots = _root_doubles(chi.order)
     # chi(k) = zeta_m^e on the units, the only k summed; it is zero elsewhere
-    if precision <= 53:
-        icot = _icot_doubles(n)
-        roots = _root_doubles(m)
-        total = 0j
-        for k, e in values:
-            total += roots[e] * icot[k] ** r
-        return total
-    import mpmath
-
-    with mpmath.workprec(precision + 10):
-        total = mpmath.mpc(0)
-        for k, e in values:
-            z = mpmath.expjpi(mpmath.mpf(2 * e) / m)
-            total += z * (1j * mpmath.cot(mpmath.pi * k / n)) ** r
-        return total
+    total = 0j
+    for k, e in values:
+        total += roots[e] * icot[k] ** r
+    return total

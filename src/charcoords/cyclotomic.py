@@ -549,29 +549,16 @@ class CycElem:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def complex_eval(self, precision: int = 53):
-        """Evaluate the residue polynomial at exp(2*pi*i/N).
+    def complex_eval(self) -> complex:
+        """Evaluate the residue polynomial at exp(2*pi*i/N) in doubles.
 
-        With the default precision the result is a Python complex computed
-        in double arithmetic; the error is bounded by roughly
-        4 * phi(N) * sum(|coeffs|) * 2**(1 - precision).  For precision > 53
-        the evaluation runs in mpmath at the requested number of bits and
-        returns an mpmath ``mpc``.
+        The error is at most 4 * phi(N) * sum(|coeffs|) * 2**-52.
         """
-        if precision <= 53:
-            root = cmath.exp(2j * math.pi / self.order)
-            acc = 0j
-            for c in reversed(self.nums):
-                acc = acc * root + complex(c / self.den)  # int/int rounds exactly once
-            return acc
-        import mpmath
-
-        with mpmath.workprec(precision + 10):
-            root = mpmath.expjpi(mpmath.mpf(2) / self.order)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
-            return acc
+        root = cmath.exp(2j * math.pi / self.order)
+        acc = 0j
+        for c in reversed(self.nums):
+            acc = acc * root + complex(c / self.den)  # int/int rounds exactly once
+        return acc
 
     # -- serialization -------------------------------------------------------
 

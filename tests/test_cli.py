@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,8 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcoords import cli
+from charcoords.arith import euler_phi
 from charcoords.characters import enumerate_characters
 from charcoords.cli import main
 from charcoords.coordinates import coord_cotangent_closed
@@ -428,3 +433,81 @@ def test_unselected_identity_range_is_not_checked(capsys):
     code, out, _ = run_cli(capsys, "series", "verify", "--stirling", "--kmax", "1", "--rmax", "0")
     assert code == 0
     assert out == "stirling identity k=1: ok\n"
+
+
+# -- malformed argv ----------------------------------------------------------
+# Well-formed numbers come from small ranges only (n <= 60, r and j <= 8), so
+# no drawn command can start a large computation before it is refused.
+
+_N = st.integers(2, 60)
+_R = st.integers(1, 8)
+_UNKNOWN = st.sampled_from(["bogus", "DEF", "closedform", "7", ""])
+
+
+def _bad(lowest):
+    """A token that is not an integer >= lowest: not a number, or too small."""
+    return st.one_of(st.sampled_from(["x", "1.5", "2e3", "", "0x10", "-x"]),
+                     st.integers(-60, lowest - 1).map(str))
+
+
+def _argv(*parts):
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts)).map(lambda t: [str(x) for x in t])
+
+
+def _index_out_of_range(n):
+    return st.one_of(st.integers(-60, -1), st.integers(euler_phi(n), euler_phi(n) + 60))
+
+
+MALFORMED_ARGV = st.one_of(
+    # a bad number where an integer is required
+    _argv("chars", _bad(2)),
+    _argv("coord", _bad(2), 0, _R),
+    _argv("coord", _N, 0, _bad(1), "--method", st.sampled_from(["def", "closed", "prim"])),
+    _argv("coord", _N, 0, "--j", _bad(1), "--method", "cotnum"),
+    _argv("coord", _N, _bad(1), "--all-chars"),
+    _argv("cot", _bad(2), st.sampled_from(["--power", "--j"]), _R),
+    _argv("cot", _N, st.sampled_from(["--power", "--j"]), _bad(1)),
+    _argv("bernoulli", _bad(0)),
+    _argv("bernoulli", _R, "--char", _bad(2), 0),
+    _argv("coeffs", st.sampled_from(["c", "d", "check"]), _bad(1)),
+    _argv("series", "verify", st.sampled_from(["--rmax", "--kmax"]), _bad(1)),
+    _argv("verify", st.sampled_from(["--n-max", "--r-max"]), _bad(1)),
+    _argv("verify", "cotnum_closed_form", "--j-max", _bad(1)),
+    _argv("verify", "--tol", st.sampled_from(["x", "0", "-1", "nan", "inf"])),
+    _argv("verify", "--set", st.sampled_from(["n_max=x", "bogus=1", "n_max"])),
+    # unknown commands, methods, kinds, suites and formats
+    _argv(_UNKNOWN),
+    _argv("coord", _N, 0, _R, "--method", _UNKNOWN),
+    _argv("coeffs", _UNKNOWN, _R),
+    _argv("series", _UNKNOWN),
+    _argv("verify", _UNKNOWN),
+    _argv("chars", _N, "--format", _UNKNOWN),
+    # conflicting --j, r, --all-chars and --method prim
+    _argv("coord", _N, 0, _R, "--j", _R,
+          "--method", st.sampled_from(["def", "closed", "prim", "cotnum"])),
+    _argv("coord", _N, 0, "--j", _R, "--method", st.sampled_from(["def", "closed", "prim"])),
+    _argv("coord", _N, 0, "--method", "cotnum"),
+    _argv("coord", _N, 0, _R, "--all-chars"),
+    _argv("coord", _N, _R, "--all-chars", "--method", "prim"),
+    _argv("cot", _N, "--j", _R, "--power", _R),
+    _argv("cot", _N),
+    # character index out of range
+    _N.flatmap(lambda n: _argv("coord", n, _index_out_of_range(n), _R)),
+    _N.flatmap(lambda n: _argv("bernoulli", _R, "--char", n, _index_out_of_range(n))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MALFORMED_ARGV)
+def test_malformed_argv_is_a_usage_error(argv):
+    # argparse's own refusals raise SystemExit(2); main returns 2 for the rest
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2, (argv, err.getvalue())
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,10 +295,15 @@ def test_direct_sum_float_is_the_literal_double_sum():
 
 
 def test_direct_sum_float_high_precision():
+    # the double sum against the same sum in mpmath at 110 bits
     chi = enumerate_characters(5)[1]
-    lo = direct_sum_float(chi, 2)
-    hi = direct_sum_float(chi, 2, precision=100)
-    assert abs(lo - complex(hi)) < 1e-12
+    n, m = chi.modulus, chi.order
+    with mpmath.workprec(110):
+        hi = mpmath.mpc(0)
+        for k, e in chi.unit_values():
+            z = mpmath.expjpi(mpmath.mpf(2 * e) / m)
+            hi += z * (1j * mpmath.cot(mpmath.pi * k / n)) ** 2
+    assert abs(direct_sum_float(chi, 2) - complex(hi)) < 1e-12
 
 
 def test_coord_report():

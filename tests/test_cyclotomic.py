@@ -2,12 +2,16 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcoords import cyclotomic
 from charcoords.arith import divisors, euler_phi
+from charcoords.characters import enumerate_characters, gauss_sum
+from charcoords.coordinates import coords_definitional_many
+from charcoords.cotangent import icot_power
 from charcoords.cyclotomic import (
     CycElem,
     FieldMembershipError,
@@ -136,8 +140,36 @@ def test_complex_eval():
     assert icot8.complex_eval() == pytest.approx(
         complex(0, 1 + math.sqrt(2)), abs=1e-12
     )
-    hi = icot8.complex_eval(precision=120)
-    assert abs(complex(hi) - complex(0, 1 + math.sqrt(2))) < 1e-14
+
+
+def _horner_mp(x):
+    """x evaluated at exp(2 pi i/N) in mpmath at its working precision."""
+    root = mpmath.expjpi(mpmath.mpf(2) / x.order)
+    acc = mpmath.mpc(0)
+    for c in reversed(x.coeffs):
+        acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
+    return acc
+
+
+def test_complex_eval_error_bound():
+    # the docstring bound 4 * phi(N) * sum|coeffs| * 2**-52 holds on every
+    # coordinate of (i cot(pi/n))^r, r <= 10, n <= 30, and on every Gauss sum
+    # of a primitive character of conductor <= 50 (J up to 2,162)
+    values = []
+    for n in range(2, 31):
+        powers = [icot_power(r, n) for r in range(1, 11)]
+        for ys in coords_definitional_many(n, powers):
+            values.extend(ys.values())
+    assert len(values) == 2770
+    primitive = {chi.primitive_part() for n in range(2, 51) for chi in enumerate_characters(n)}
+    taus = [gauss_sum(psi) for psi in primitive]
+    assert len(taus) == 471
+    assert max(tau.order for tau in taus) == 2162
+    with mpmath.workprec(120):
+        for x in values + taus:
+            bound = 4 * euler_phi(x.order) * float(sum(abs(c) for c in x.coeffs)) * 2.0 ** -52
+            error = abs(mpmath.mpc(x.complex_eval()) - _horner_mp(x))
+            assert error <= bound, (x.order, float(error), bound)
 
 
 def test_pow_matches_repeated_mul():

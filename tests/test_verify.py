@@ -102,7 +102,7 @@ def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
         # every element evaluated at the conjugate root exp(-2 pi i/N)
         evaluate = CycElem.complex_eval
         monkeypatch.setattr(CycElem, "complex_eval",
-                            lambda self, precision=53: evaluate(self, precision).conjugate())
+                            lambda self: evaluate(self).conjugate())
     cfg = config_with_overrides(MINI, suites=("float_crosscheck",))
     (result,) = run_suites(cfg)
     assert result.failures
