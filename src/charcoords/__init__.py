@@ -19,16 +19,13 @@ from .characters import (
     gauss_sum,
 )
 from .combinatorics import (
-    CoeffTable,
     bernoulli_conv_coeff,
     bernoulli_conv_coeff_bruteforce,
     coeff_bridge,
-    coeff_table,
     cot_power_coeff,
     stirling_first_unsigned,
 )
 from .coordinates import (
-    CoordReport,
     coord_cotangent_closed,
     coord_definitional,
     coord_one,
@@ -76,14 +73,11 @@ __all__ = [
     "character_group",
     "enumerate_characters",
     "gauss_sum",
-    "CoeffTable",
     "bernoulli_conv_coeff",
     "bernoulli_conv_coeff_bruteforce",
     "coeff_bridge",
-    "coeff_table",
     "cot_power_coeff",
     "stirling_first_unsigned",
-    "CoordReport",
     "coord_cotangent_closed",
     "coord_definitional",
     "coord_one",

@@ -3,10 +3,13 @@
 Subcommands: chars, coord, coeffs, cot, bernoulli, series, verify.
 JSON output wraps results in a stable envelope {command, inputs, results,
 version}; rationals always serialize as strings like "p/q", never floats.
-Text output is for humans and carries no stability guarantee.
+Text output is for humans and carries no stability guarantee.  This
+module alone builds the output rows: the coord row, with the method names
+it reports, and the coeffs CSV rows.
 
-The verify subcommand reads default ranges from a key=value config file,
-found through --config or the CHARCOORDS_CONFIG environment variable.
+The verify subcommand takes its configuration from its argv alone: the
+range flags and --set key=value, which reaches every SuiteConfig field.
+No file or environment variable changes what it checks.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import sys
 from . import __version__
 from .bernoulli import bernoulli_number, generalized_bernoulli
 from .characters import enumerate_characters
-from .combinatorics import coeff_table
+from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .coordinates import (
-    CoordReport,
     coord_cotangent_closed,
     coord_definitional,
     coord_power_closed,
@@ -33,8 +35,6 @@ from .cyclotomic import CycElem, FieldMembershipError
 from .memo import memo
 from .series import TruncationError, verify_power_decomposition, verify_stirling_identity
 from .verify import SuiteConfig, config_with_overrides, run_suites
-
-CONFIG_ENV_VAR = "CHARCOORDS_CONFIG"
 
 
 def _emit(args, command: str, inputs: dict, results, text_lines) -> None:
@@ -95,28 +95,32 @@ def _cmd_chars(args) -> int:
 
 # -- coord -------------------------------------------------------------------
 
-def _coord_for(chi, args) -> CoordReport:
+def _coord_for(chi, args) -> dict:
+    """The row of one coordinate: modulus, char_index, degree (r, or j for
+    cotangent numbers), the method name it reports, the value as a CycElem,
+    and float when the value fits in a finite double."""
     method = args.method
     if method == "cotnum":
         if args.j is None or args.r is not None:
             raise ValueError("--method cotnum needs --j and no r")
-        value = coord_cotangent_closed(chi, args.j)
-        return CoordReport(chi.modulus, chi.index, args.j, "cotnum_closed", value,
-                           _float_or_none(value))
-    if args.r is None or args.j is not None:
+        degree, name, value = args.j, "cotnum_closed", coord_cotangent_closed(chi, args.j)
+    elif args.r is None or args.j is not None:
         raise ValueError("method %r needs the positional r and no --j" % method)
-    if method == "def":
+    elif method == "def":
+        degree, name = args.r, "definitional"
         value = coord_definitional(chi, icot_power(args.r, chi.modulus))
-        name = "definitional"
     elif method == "closed":
-        value = coord_power_closed(chi, args.r)
-        name = "power_closed"
+        degree, name, value = args.r, "power_closed", coord_power_closed(chi, args.r)
     elif method == "prim":
-        value = coord_power_primitive(chi, args.r)
-        name = "primitive_closed"
+        degree, name, value = args.r, "primitive_closed", coord_power_primitive(chi, args.r)
     else:
         raise ValueError("unknown method %r" % method)
-    return CoordReport(chi.modulus, chi.index, args.r, name, value, _float_or_none(value))
+    row = {"modulus": chi.modulus, "char_index": chi.index, "degree": degree,
+           "method": name, "value": value}
+    z = _float_or_none(value)
+    if z is not None:
+        row["float"] = {"re": z.real, "im": z.imag}
+    return row
 
 
 def _cmd_coord(args) -> int:
@@ -140,7 +144,7 @@ def _cmd_coord(args) -> int:
                 "character index out of range (0..%d)" % (len(chars) - 1)
             )
         targets = [chars[args.char_index]]
-    reports = [_coord_for(chi, args) for chi in targets]
+    rows = [_coord_for(chi, args) for chi in targets]
     inputs = {
         "n": args.n,
         "char_index": args.char_index,
@@ -151,10 +155,12 @@ def _cmd_coord(args) -> int:
     }
     lines = (
         "chi index %d (mod %d), degree %d, method %s: %s"
-        % (rep.char_index, rep.modulus, rep.degree, rep.method, _cyc_text(rep.value))
-        for rep in reports
+        % (row["char_index"], row["modulus"], row["degree"], row["method"],
+           _cyc_text(row["value"]))
+        for row in rows
     )
-    _emit(args, "coord", inputs, [rep.to_json_dict() for rep in reports], lines)
+    _emit(args, "coord", inputs,
+          [{**row, "value": row["value"].to_json_dict()} for row in rows], lines)
     return 0
 
 
@@ -166,10 +172,13 @@ def _cmd_coeffs(args) -> int:
         result = run_suites(cfg)[0]
         print("coeff_bridge: %d cases, %d failures" % (result.cases, len(result.failures)))
         return 0 if result.passed else 1
-    table = coeff_table(args.r, args.kind)
-    rows = table.nonzero_items()
-    for j, v in rows:
-        print("%d,%d,%s" % (args.r, j, v))
+    if args.r < 1:
+        raise ValueError("coefficient tables need r >= 1")
+    coeff = cot_power_coeff if args.kind == "c" else bernoulli_conv_coeff
+    for j in range(1, args.r + 1):
+        v = coeff(args.r, j)
+        if v:
+            print("%d,%d,%s" % (args.r, j, v))
     return 0
 
 
@@ -238,25 +247,8 @@ def _cmd_series(args) -> int:
 
 # -- verify ---------------------------------------------------------------------
 
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError("bad config line (expected key = value): %r" % raw)
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _cmd_verify(args) -> int:
     overrides = {}
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        overrides.update(_load_config_file(path))
     if args.n_max is not None:
         overrides["n_max"] = args.n_max
     if args.r_max is not None:
@@ -376,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int)
     p.add_argument("--j-max", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--config", help="key=value config file (or $%s)" % CONFIG_ENV_VAR)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any SuiteConfig field")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,7 +14,6 @@ Everything here is exact rational arithmetic; no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _schoolbook_mul
@@ -161,28 +160,3 @@ def coeff_bridge(r: int, j: int) -> Fraction:
         Fraction((-1) ** (r + 1) * 2 ** (r - j), math.factorial(j - 1))
         * bernoulli_conv_coeff(r, j)
     )
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """One row family of coefficients: kind 'c' (cotangent-power expansion)
-    or 'd' (Bernoulli convolution), for a fixed r."""
-
-    r: int
-    kind: str
-    values: dict
-
-    def nonzero_items(self):
-        return sorted((j, v) for j, v in self.values.items() if v)
-
-
-def coeff_table(r: int, kind: str) -> CoeffTable:
-    if r < 1:
-        raise ValueError("coefficient tables need r >= 1")
-    if kind == "c":
-        fn = cot_power_coeff
-    elif kind == "d":
-        fn = bernoulli_conv_coeff
-    else:
-        raise ValueError("kind must be 'c' or 'd'")
-    return CoeffTable(r, kind, {j: fn(r, j) for j in range(1, r + 1)})

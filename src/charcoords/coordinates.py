@@ -108,7 +108,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -126,36 +125,6 @@ from .cyclotomic import (
     _unpack,
 )
 from .memo import memo
-
-_METHODS = ("definitional", "cotnum_closed", "power_closed", "primitive_closed", "coord_one")
-
-
-@dataclass(frozen=True)
-class CoordReport:
-    """A coordinate computation result, ready for serialization."""
-
-    modulus: int
-    char_index: int
-    degree: int               # r for power coordinates, j for cotangent numbers
-    method: str
-    value: CycElem
-    float_value: Optional[complex] = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError("unknown method %r" % (self.method,))
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "modulus": self.modulus,
-            "char_index": self.char_index,
-            "degree": self.degree,
-            "method": self.method,
-            "value": self.value.to_json_dict(),
-        }
-        if self.float_value is not None:
-            out["float"] = {"re": self.float_value.real, "im": self.float_value.imag}
-        return out
 
 
 @memo

@@ -4,9 +4,11 @@ Each suite sweeps a configurable range of moduli, characters and exponents
 and yields a stream of cases (inputs, lhs, rhs, ok): two independently
 computed values, and ok None when the check is lhs == rhs.  One recording
 loop counts the cases, times the suite and records every mismatch
-(failure-fast is off so convention bugs surface in full); a suite with no
-case is refused.  The three closed-form suites share one sweep against the
-definitional coordinate.  Every suite builds the elements of a modulus
+(failure-fast is off so convention bugs surface in full).  A suite with no
+case checks nothing, so before the first suite runs, run_suites draws the
+first case of each selected suite and refuses one that has none.  The
+three closed-form suites share one sweep against the definitional
+coordinate.  Every suite builds the elements of a modulus
 first and takes all their definitional coordinates from one
 coords_definitional_many call: one defining sum per Galois orbit of
 characters for all the elements at once, in element lanes, the other
@@ -71,7 +73,7 @@ class SuiteConfig:
     """Ranges and tolerances for the verification suites.
 
     Defaults reproduce the full published sweep; every field can be
-    overridden from the CLI (or a config file).
+    overridden from the CLI.
     """
 
     n_max: int = 30
@@ -133,15 +135,16 @@ def _value_str(v) -> str:
 
 
 SUITES: dict[str, Callable[[SuiteConfig], SuiteResult]] = {}
+_CASES: dict[str, Callable[[SuiteConfig], Iterable[tuple]]] = {}
 
 
 def _recorded(cases_of: Callable[[SuiteConfig], Iterable[tuple]]):
     """Turn a generator of cases into a suite, registered in SUITES under
     the function's name without its "suite_" prefix: the one recording loop.
+    The generator itself is registered in _CASES under the same name.
 
     Each case is (inputs, lhs, rhs, ok), with ok None when the check is
-    lhs == rhs.  A suite that ends with no case at all checks nothing, so
-    it is refused.
+    lhs == rhs.
     """
     name = cases_of.__name__.removeprefix("suite_")
 
@@ -155,11 +158,10 @@ def _recorded(cases_of: Callable[[SuiteConfig], Iterable[tuple]]):
             if not (lhs == rhs if ok is None else ok):
                 lhs, rhs = _value_str(lhs), _value_str(rhs)
                 failures.append(CaseFailure(name, inputs, lhs, rhs))
-        if not cases:
-            raise ValueError("suite %s has no case in its configured ranges" % name)
         return SuiteResult(name, cases, failures, time.perf_counter() - t0)
 
     SUITES[name] = run
+    _CASES[name] = cases_of
     return run
 
 
@@ -307,20 +309,27 @@ def suite_series_oracle(config: SuiteConfig):
                        None)
 
 
-
 def run_suites(config: SuiteConfig) -> list[SuiteResult]:
-    """Run the suites named in the config, in canonical order."""
+    """Run the suites named in the config, in canonical order.
+
+    A selected suite whose ranges leave it no case is refused before any
+    suite runs: each one's first case is drawn, and only that one.
+    """
     unknown = [s for s in config.suites if s not in SUITES]
     if unknown:
         raise ValueError(
             "unknown suite(s) %s; available: %s" % (unknown, ", ".join(SUITE_NAMES))
         )
-    return [SUITES[name](config) for name in SUITE_NAMES if name in config.suites]
+    names = [name for name in SUITE_NAMES if name in config.suites]
+    for name in names:
+        if next(iter(_CASES[name](config)), None) is None:
+            raise ValueError("suite %s has no case in its configured ranges" % name)
+    return [SUITES[name](config) for name in names]
 
 
 def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> SuiteConfig:
     """A SuiteConfig with the given fields replaced, values coerced from
-    strings where necessary (used by the CLI and its config files)."""
+    strings where necessary (used by the CLI's flags and --set)."""
     coerced = {}
     types = get_type_hints(SuiteConfig)
     for key, value in overrides.items():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charcoords import cli
+from charcoords import cli, verify
 from charcoords.arith import euler_phi
 from charcoords.characters import enumerate_characters
 from charcoords.cli import main
@@ -239,19 +239,6 @@ def test_verify_json(capsys):
     assert data["suites"][0]["name"] == "power_closed_form"
 
 
-def test_verify_config_file(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "ranges.cfg"
-    cfg.write_text("# compact sweep\nn_max = 5\nr_max = 2\nsuites = power_closed_form\n")
-    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
-    assert code == 0
-    assert "power_closed_form" in out
-    assert "cotnum" not in out
-    monkeypatch.setenv("CHARCOORDS_CONFIG", str(cfg))
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 0
-    assert "power_closed_form" in out
-
-
 def test_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus_suite")
     assert code == 2
@@ -389,9 +376,8 @@ def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
         ("d_oracle_r_max", "13"),
     ],
 )
-def test_verify_config_errors_name_the_key(capsys, monkeypatch, key, value):
+def test_verify_config_errors_name_the_key(capsys, key, value):
     # refused before any suite runs, whichever suites come first
-    monkeypatch.delenv("CHARCOORDS_CONFIG", raising=False)
     code, out, err = run_cli(capsys, "verify", "--set", "%s=%s" % (key, value))
     assert code == 2
     assert out == ""
@@ -403,14 +389,49 @@ def _without_seconds(report: str) -> str:
     return re.sub(r',\n *"seconds": [^\n]*', "", report)
 
 
-def test_verify_default_report_matches_golden(capsys, monkeypatch):
-    # default ranges: pins the config echo and the seven case counts
-    # (1836, 1836, 110, 415, 3092, 171, 97)
-    monkeypatch.delenv("CHARCOORDS_CONFIG", raising=False)
+def _check_default_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "--format", "json")
     assert code == 0
     golden = Path(__file__).parent / "golden" / "verify_default.json"
     assert _without_seconds(out) == golden.read_text(encoding="utf-8")
+
+
+def test_verify_default_report_matches_golden(capsys):
+    # default ranges: pins the config echo and the seven case counts
+    # (1836, 1836, 110, 415, 3092, 171, 97)
+    _check_default_report(capsys)
+
+
+def test_verify_report_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # argv is the whole configuration: a config file named in the
+    # environment, as older versions read it, changes nothing
+    cfg = tmp_path / "ranges.cfg"
+    cfg.write_text("n_max = 3\n")
+    monkeypatch.setenv("CHARCOORDS_CONFIG", str(cfg))
+    _check_default_report(capsys)
+
+
+def test_empty_suite_is_refused_before_any_suite_runs(capsys, monkeypatch):
+    # reconstruction, the sixth suite, has no case at recon_n_max=1: the
+    # refusal draws at most the first case of each suite and runs none
+    drawn, ran = {}, []
+
+    def counted(name, cases_of):
+        def cases(config):
+            for case in cases_of(config):
+                drawn[name] = drawn.get(name, 0) + 1
+                yield case
+        return cases
+
+    for name in verify.SUITE_NAMES:
+        monkeypatch.setitem(verify._CASES, name, counted(name, verify._CASES[name]))
+        monkeypatch.setitem(verify.SUITES, name, lambda config, name=name: ran.append(name))
+    code, out, err = run_cli(capsys, "verify", "--set", "recon_n_max=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite reconstruction has no case in its configured ranges\n"
+    assert ran == []
+    assert drawn == dict.fromkeys(verify.SUITE_NAMES[:5], 1)
 
 
 @pytest.mark.parametrize(
@@ -483,6 +504,9 @@ MALFORMED_ARGV = st.one_of(
     _argv("series", _UNKNOWN),
     _argv("verify", _UNKNOWN),
     _argv("chars", _N, "--format", _UNKNOWN),
+    # unknown flags, among them the config file flag older versions read
+    _argv("verify", st.sampled_from(["--config", "--bogus"]),
+          st.sampled_from(["ranges.cfg", "n_max=3"])),
     # conflicting --j, r, --all-chars and --method prim
     _argv("coord", _N, 0, _R, "--j", _R,
           "--method", st.sampled_from(["def", "closed", "prim", "cotnum"])),

@@ -7,7 +7,6 @@ from charcoords.combinatorics import (
     bernoulli_conv_coeff,
     bernoulli_conv_coeff_bruteforce,
     coeff_bridge,
-    coeff_table,
     cot_power_coeff,
     stirling_first_unsigned,
 )
@@ -136,12 +135,3 @@ def test_leading_coefficient_normalization():
     for r in range(1, 21):
         assert cot_power_coeff(r, r) * math.factorial(r - 1) * (-1) ** (r + 1) == 1
 
-
-def test_coeff_table():
-    tab = coeff_table(3, "c")
-    assert tab.nonzero_items() == [(1, F(1)), (3, F(1, 2))]
-    tab_d = coeff_table(4, "d")
-    assert tab_d.values[4] == 1
-    assert all(v == 0 for j, v in tab_d.values.items() if (4 - j) % 2)
-    with pytest.raises(ValueError):
-        coeff_table(3, "x")

@@ -12,7 +12,6 @@ from charcoords.arith import euler_phi, prime_factors, units
 from charcoords.characters import enumerate_characters, gauss_sum
 from charcoords import coordinates
 from charcoords.coordinates import (
-    CoordReport,
     _definitional_lanes,
     _euler_divisors,
     coord_cotangent_closed,
@@ -304,19 +303,6 @@ def test_direct_sum_float_high_precision():
             z = mpmath.expjpi(mpmath.mpf(2 * e) / m)
             hi += z * (1j * mpmath.cot(mpmath.pi * k / n)) ** 2
     assert abs(direct_sum_float(chi, 2) - complex(hi)) < 1e-12
-
-
-def test_coord_report():
-    chi = enumerate_characters(4)[1]
-    value = coord_definitional(chi, icot_value(4))
-    report = CoordReport(4, 1, 1, "definitional", value, value.complex_eval())
-    data = report.to_json_dict()
-    assert data["value"] == {"order": 2, "coeffs": ["1"]}
-    assert data["float"]["re"] == pytest.approx(1.0)
-    # the value lies in the field of values: its order divides the character order
-    assert chi.order % data["value"]["order"] == 0
-    with pytest.raises(ValueError):
-        CoordReport(4, 1, 1, "bogus", value)
 
 
 # moduli with imprimitive characters (8, 12, 15) and complex ones (5, 8, 15)
