@@ -4,8 +4,11 @@ Subcommands: chars, coord, coeffs, cot, bernoulli, series, verify.
 JSON output wraps results in a stable envelope {command, inputs, results,
 version}; rationals always serialize as strings like "p/q", never floats.
 Text output is for humans and carries no stability guarantee.  This
-module alone builds the output rows: the coord row, with the method names
-it reports, and the coeffs CSV rows.
+module alone builds the output rows (the coord row, with the method names
+it reports, and the coeffs CSV rows), from the library's batched paths:
+coord --all-chars --method def makes one defining sum per Galois orbit,
+and series verify and coeffs check run a verify suite and print
+"<suite>: N cases, F failures" plus one mismatch line per failure.
 
 The verify subcommand takes its configuration from its argv alone: the
 range flags and --set key=value, which reaches every SuiteConfig field.
@@ -29,11 +32,12 @@ from .coordinates import (
     coord_definitional,
     coord_power_closed,
     coord_power_primitive,
+    coords_definitional,
 )
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem, FieldMembershipError
 from .memo import memo
-from .series import TruncationError, verify_power_decomposition, verify_stirling_identity
+from .series import TruncationError
 from .verify import SuiteConfig, config_with_overrides, run_suites
 
 
@@ -95,28 +99,12 @@ def _cmd_chars(args) -> int:
 
 # -- coord -------------------------------------------------------------------
 
-def _coord_for(chi, args) -> dict:
+def _coord_row(chi, degree: int, method: str, value: CycElem) -> dict:
     """The row of one coordinate: modulus, char_index, degree (r, or j for
-    cotangent numbers), the method name it reports, the value as a CycElem,
-    and float when the value fits in a finite double."""
-    method = args.method
-    if method == "cotnum":
-        if args.j is None or args.r is not None:
-            raise ValueError("--method cotnum needs --j and no r")
-        degree, name, value = args.j, "cotnum_closed", coord_cotangent_closed(chi, args.j)
-    elif args.r is None or args.j is not None:
-        raise ValueError("method %r needs the positional r and no --j" % method)
-    elif method == "def":
-        degree, name = args.r, "definitional"
-        value = coord_definitional(chi, icot_power(args.r, chi.modulus))
-    elif method == "closed":
-        degree, name, value = args.r, "power_closed", coord_power_closed(chi, args.r)
-    elif method == "prim":
-        degree, name, value = args.r, "primitive_closed", coord_power_primitive(chi, args.r)
-    else:
-        raise ValueError("unknown method %r" % method)
+    cotangent numbers), the method name it reports, the value, and float
+    when the value fits in a finite double."""
     row = {"modulus": chi.modulus, "char_index": chi.index, "degree": degree,
-           "method": name, "value": value}
+           "method": method, "value": value.to_json_dict()}
     z = _float_or_none(value)
     if z is not None:
         row["float"] = {"re": z.real, "im": z.imag}
@@ -127,10 +115,9 @@ def _cmd_coord(args) -> int:
     chars = enumerate_characters(args.n)
     if args.all_chars:
         # with --all-chars the single positional after n is the power r
-        if args.char_index is not None and args.r is not None:
+        if args.r is not None:
             raise ValueError("--all-chars takes n and r, not a character index")
-        if args.char_index is not None:
-            args.r, args.char_index = args.char_index, None
+        args.r, args.char_index = args.char_index, None
         if args.method == "prim":
             # character 0 is principal, of conductor 1: never primitive mod n >= 2
             raise ValueError("--all-chars cannot be combined with --method prim,"
@@ -140,38 +127,49 @@ def _cmd_coord(args) -> int:
         if args.char_index is None:
             raise ValueError("give a character index or --all-chars")
         if not 0 <= args.char_index < len(chars):
-            raise ValueError(
-                "character index out of range (0..%d)" % (len(chars) - 1)
-            )
+            raise ValueError("character index out of range (0..%d)" % (len(chars) - 1))
         targets = [chars[args.char_index]]
-    rows = [_coord_for(chi, args) for chi in targets]
-    inputs = {
-        "n": args.n,
-        "char_index": args.char_index,
-        "r": args.r,
-        "j": args.j,
-        "method": args.method,
-        "all_chars": args.all_chars,
-    }
-    lines = (
-        "chi index %d (mod %d), degree %d, method %s: %s"
-        % (row["char_index"], row["modulus"], row["degree"], row["method"],
-           _cyc_text(row["value"]))
-        for row in rows
-    )
-    _emit(args, "coord", inputs,
-          [{**row, "value": row["value"].to_json_dict()} for row in rows], lines)
+    method, r, j = args.method, args.r, args.j
+    cotnum = method == "cotnum"
+    if cotnum and (j is None or r is not None):
+        raise ValueError("--method cotnum needs --j and no r")
+    if not cotnum and (r is None or j is not None):
+        raise ValueError("method %r needs the positional r and no --j" % method)
+    degree = j if cotnum else r
+    name, formula = {
+        "def": ("definitional", lambda chi, d: coord_definitional(chi, icot_power(d, args.n))),
+        "closed": ("power_closed", coord_power_closed),
+        "prim": ("primitive_closed", coord_power_primitive),
+        "cotnum": ("cotnum_closed", coord_cotangent_closed),
+    }[method]
+    if method == "def" and args.all_chars:  # one defining sum per Galois orbit
+        ys = coords_definitional(args.n, icot_power(r, args.n))
+    else:
+        ys = {chi: formula(chi, degree) for chi in targets}
+    rows = [_coord_row(chi, degree, name, ys[chi]) for chi in targets]
+    inputs = {"n": args.n, "char_index": args.char_index, "r": r, "j": j,
+              "method": method, "all_chars": args.all_chars}
+    lines = ("chi index %d (mod %d), degree %d, method %s: %s"
+             % (chi.index, args.n, degree, name, _cyc_text(ys[chi])) for chi in targets)
+    _emit(args, "coord", inputs, rows, lines)
     return 0
 
 
 # -- coeffs ------------------------------------------------------------------
 
+def _run_suite(config: SuiteConfig) -> int:
+    """Run the one suite of config: print "<suite>: N cases, F failures"
+    and the inputs of at most 20 mismatches; exit code 0 or 1."""
+    (result,) = run_suites(config)
+    print("%s: %d cases, %d failures" % (result.name, result.cases, len(result.failures)))
+    for failure in result.failures[:20]:
+        print("mismatch %s" % failure.inputs)
+    return 0 if result.passed else 1
+
+
 def _cmd_coeffs(args) -> int:
     if args.kind == "check":
-        cfg = SuiteConfig(suites=("coeff_bridge",), bridge_r_max=args.r)
-        result = run_suites(cfg)[0]
-        print("coeff_bridge: %d cases, %d failures" % (result.cases, len(result.failures)))
-        return 0 if result.passed else 1
+        return _run_suite(SuiteConfig(suites=("coeff_bridge",), bridge_r_max=args.r))
     if args.r < 1:
         raise ValueError("coefficient tables need r >= 1")
     coeff = cot_power_coeff if args.kind == "c" else bernoulli_conv_coeff
@@ -223,40 +221,26 @@ def _cmd_bernoulli(args) -> int:
 # -- series --------------------------------------------------------------------
 
 def _cmd_series(args) -> int:
-    if args.action != "verify":
-        raise ValueError("unknown series action %r" % args.action)
     run_all = not (args.prop_decomposition or args.stirling)
+    stirling = args.stirling or run_all
+    decomposition = args.prop_decomposition or run_all
     # a selected identity with an empty range would check nothing
-    if (args.stirling or run_all) and args.kmax < 1:
+    if stirling and args.kmax < 1:
         raise ValueError("--kmax must be >= 1, got %d" % args.kmax)
-    if (args.prop_decomposition or run_all) and args.rmax < 1:
+    if decomposition and args.rmax < 1:
         raise ValueError("--rmax must be >= 1, got %d" % args.rmax)
-    ok = True
-    if args.stirling or run_all:
-        for k in range(1, args.kmax + 1):
-            good = verify_stirling_identity(k, 2 * k + 4)
-            ok = ok and good
-            print("stirling identity k=%d: %s" % (k, "ok" if good else "FAIL"))
-    if args.prop_decomposition or run_all:
-        for r in range(1, args.rmax + 1):
-            good = verify_power_decomposition(r, 2 * r + 4)
-            ok = ok and good
-            print("power decomposition r=%d: %s" % (r, "ok" if good else "FAIL"))
-    return 0 if ok else 1
+    return _run_suite(SuiteConfig(
+        suites=("series_oracle",), d_oracle_r_max=0, d_series_r_max=0,
+        stirling_k_max=args.kmax if stirling else 0,
+        decomposition_r_max=args.rmax if decomposition else 0))
 
 
 # -- verify ---------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.n_max is not None:
-        overrides["n_max"] = args.n_max
-    if args.r_max is not None:
-        overrides["r_max"] = args.r_max
-    if args.j_max is not None:
-        overrides["j_max"] = args.j_max
-    if args.tol is not None:
-        overrides["float_tolerance"] = args.tol
+    # each range flag's dest is the SuiteConfig field it sets
+    flags = ("n_max", "r_max", "j_max", "float_tolerance")
+    overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
     for item in args.set or []:
         if "=" not in item:
             raise ValueError("--set expects key=value, got %r" % item)
@@ -296,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser of the CLI.
 
     Built once per process and shared by every call of :func:`main`, so a
-    long-lived caller does not rebuild it per request; treat it as
-    read-only.
+    long-lived caller does not rebuild it per request.  main is not for
+    concurrent threads: they would share one sys.stdout, and on some Python
+    versions parse_intermixed_args changes the parser while it parses.
     """
     parser = argparse.ArgumentParser(
         prog="charcoords",
@@ -367,17 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--r-max", type=int)
     p.add_argument("--j-max", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, dest="float_tolerance", metavar="TOL")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any SuiteConfig field")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
+    parser.commands = sub.choices  # each subcommand's parser, for main
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # options may come before, between or after positionals (parse_args, on 3.11, refuses
+    # `coord 7 --method closed 1 3`), the same on every Python version
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None  # None: -h, --version, no known command
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        if command.usage is None:  # else parse_intermixed_args formats it per call
+            command.usage = command.format_usage()[len("usage: "):]
+        args = command.parse_intermixed_args(argv[1:])
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit

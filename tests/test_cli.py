@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charcoords import cli, verify
+from charcoords import cli, coordinates, series, verify
 from charcoords.arith import euler_phi
 from charcoords.characters import enumerate_characters
 from charcoords.cli import main
@@ -84,6 +84,62 @@ def test_coord_all_chars(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["results"]) == 4
+
+
+@pytest.mark.parametrize("n, r", [(12, 2), (47, 5), (60, 3)])
+def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypatch, n, r):
+    # the rows are those of the single-character requests, in enumeration
+    # order, from one defining sum per Galois orbit of characters mod n
+    lanes = []
+
+    def counted(chi, elements):
+        lanes.append(chi)
+        return kernel(chi, elements)
+
+    kernel = coordinates._definitional_lanes
+    monkeypatch.setattr(coordinates, "_definitional_lanes", counted)
+    code, out, _ = run_cli(capsys, "coord", str(n), str(r), "--all-chars", "--format", "json")
+    assert code == 0
+    assert len(lanes) == len(coordinates._galois_orbits(n))
+    rows = json.loads(out)["results"]
+    assert len(rows) == len(enumerate_characters(n)) == euler_phi(n)
+    for idx, row in enumerate(rows):
+        code, out, _ = run_cli(capsys, "coord", str(n), str(idx), str(r),
+                               "--method", "def", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"] == [row]
+
+
+def test_coord_single_character_makes_one_definitional_call(capsys, monkeypatch):
+    calls = []
+
+    def counted(chi, a):
+        calls.append((chi, a))
+        return kernel(chi, a)
+
+    kernel = cli.coord_definitional
+    monkeypatch.setattr(cli, "coord_definitional", counted)
+    code, _, _ = run_cli(capsys, "coord", "47", "5", "3", "--method", "def", "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # options before, between and after the positionals parse alike
+        ("coord 7 --method closed 1 3", "coord 7 1 3 --method closed"),
+        ("coord 7 1 --method closed 3", "coord 7 1 3 --method closed"),
+        ("coord --method closed 7 1 3", "coord 7 1 3 --method closed"),
+        ("coord 47 --all-chars 5", "coord 47 5 --all-chars"),
+        ("coord --all-chars 47 5", "coord 47 5 --all-chars"),
+        ("coord 4 --j 1 1 --method cotnum", "coord 4 1 --j 1 --method cotnum"),
+    ],
+)
+def test_coord_options_may_precede_positionals(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *expected.split(), "--format", "json")
 
 
 def test_coord_all_chars_refuses_a_character_index(capsys):
@@ -210,7 +266,23 @@ def test_bernoulli_command(capsys):
 def test_series_verify(capsys):
     code, out, _ = run_cli(capsys, "series", "verify", "--rmax", "4", "--kmax", "4")
     assert code == 0
-    assert "FAIL" not in out
+    assert out == "series_oracle: 8 cases, 0 failures\n"
+
+
+def test_series_verify_reports_a_planted_fault(capsys, monkeypatch):
+    # a c_{2,j} off by one breaks the decomposition at r = 2 and nowhere else
+    def planted(r, j):
+        return coeff(r, j) + (r == 2)
+
+    coeff = series.cot_power_coeff
+    monkeypatch.setattr(series, "cot_power_coeff", planted)
+    code, out, _ = run_cli(capsys, "series", "verify", "--decomposition", "--rmax", "3")
+    assert code == 1
+    summary, *mismatches = out.splitlines()
+    assert summary == "series_oracle: 3 cases, 1 failures"
+    assert mismatches == [
+        "mismatch {'identity': 'power_decomposition', 'r': 2, 'order': 8}"
+    ]
 
 
 def test_verify_command(capsys):
@@ -453,7 +525,7 @@ def test_checkers_reject_empty_ranges(capsys, argv):
 def test_unselected_identity_range_is_not_checked(capsys):
     code, out, _ = run_cli(capsys, "series", "verify", "--stirling", "--kmax", "1", "--rmax", "0")
     assert code == 0
-    assert out == "stirling identity k=1: ok\n"
+    assert out == "series_oracle: 1 cases, 0 failures\n"
 
 
 # -- malformed argv ----------------------------------------------------------
