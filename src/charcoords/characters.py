@@ -172,11 +172,6 @@ class DirichletCharacter:
             raise ArithmeticError("chi(-1) is not +-1")
         self._parity = -1 if e else 1
 
-    # value_order is a synonym: values generate Q(zeta_order)
-    @property
-    def value_order(self) -> int:
-        return self.order
-
     @property
     def modulus(self) -> int:
         return self.group.modulus

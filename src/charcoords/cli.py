@@ -4,11 +4,11 @@ Subcommands: chars, coord, coeffs, cot, bernoulli, series, verify.
 JSON output wraps results in a stable envelope {command, inputs, results,
 version}; rationals always serialize as strings like "p/q", never floats.
 Text output is for humans and carries no stability guarantee.  This
-module alone builds the output rows (the coord row, with the method names
-it reports, and the coeffs CSV rows), from the library's batched paths:
-coord --all-chars --method def makes one defining sum per Galois orbit,
-and series verify and coeffs check run a verify suite and print
-"<suite>: N cases, F failures" plus one mismatch line per failure.
+module alone builds the output rows (the coord row and the coeffs CSV
+rows).  coord reads coordinates.METHODS, the one list of methods (a new
+method is one entry; only def has a batched --all-chars path, one defining
+sum per Galois orbit).  series verify and coeffs check run a verify suite
+and print "<suite>: N cases, F failures" plus one mismatch line per failure.
 
 The verify subcommand takes its configuration from its argv alone: the
 range flags and --set key=value, which reaches every SuiteConfig field.
@@ -27,13 +27,7 @@ from . import __version__
 from .bernoulli import bernoulli_number, generalized_bernoulli
 from .characters import enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
-from .coordinates import (
-    coord_cotangent_closed,
-    coord_definitional,
-    coord_power_closed,
-    coord_power_primitive,
-    coords_definitional,
-)
+from .coordinates import METHODS
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem, FieldMembershipError
 from .memo import memo
@@ -112,16 +106,17 @@ def _coord_row(chi, degree: int, method: str, value: CycElem) -> dict:
 
 
 def _cmd_coord(args) -> int:
+    method = METHODS[args.method]
     chars = enumerate_characters(args.n)
     if args.all_chars:
         # with --all-chars the single positional after n is the power r
         if args.r is not None:
             raise ValueError("--all-chars takes n and r, not a character index")
         args.r, args.char_index = args.char_index, None
-        if args.method == "prim":
+        if method.primitive:
             # character 0 is principal, of conductor 1: never primitive mod n >= 2
-            raise ValueError("--all-chars cannot be combined with --method prim,"
-                             " which needs primitive characters")
+            raise ValueError("--all-chars cannot be combined with --method %s,"
+                             " which needs primitive characters" % args.method)
         targets = chars
     else:
         if args.char_index is None:
@@ -129,28 +124,19 @@ def _cmd_coord(args) -> int:
         if not 0 <= args.char_index < len(chars):
             raise ValueError("character index out of range (0..%d)" % (len(chars) - 1))
         targets = [chars[args.char_index]]
-    method, r, j = args.method, args.r, args.j
-    cotnum = method == "cotnum"
-    if cotnum and (j is None or r is not None):
-        raise ValueError("--method cotnum needs --j and no r")
-    if not cotnum and (r is None or j is not None):
-        raise ValueError("method %r needs the positional r and no --j" % method)
-    degree = j if cotnum else r
-    name, formula = {
-        "def": ("definitional", lambda chi, d: coord_definitional(chi, icot_power(d, args.n))),
-        "closed": ("power_closed", coord_power_closed),
-        "prim": ("primitive_closed", coord_power_primitive),
-        "cotnum": ("cotnum_closed", coord_cotangent_closed),
-    }[method]
-    if method == "def" and args.all_chars:  # one defining sum per Galois orbit
-        ys = coords_definitional(args.n, icot_power(r, args.n))
-    else:
-        ys = {chi: formula(chi, degree) for chi in targets}
-    rows = [_coord_row(chi, degree, name, ys[chi]) for chi in targets]
-    inputs = {"n": args.n, "char_index": args.char_index, "r": r, "j": j,
-              "method": method, "all_chars": args.all_chars}
+    if method.degree == "r" and (args.r is None or args.j is not None):
+        raise ValueError("method %r needs the positional r and no --j" % args.method)
+    if method.degree == "j" and (args.j is None or args.r is not None):
+        raise ValueError("--method %s needs --j and no r" % args.method)
+    degree = args.r if method.degree == "r" else args.j
+    batched = args.all_chars and method.every is not None  # one pass for every character
+    ys = (method.every(args.n, degree) if batched
+          else {chi: method.one(chi, degree) for chi in targets})
+    rows = [_coord_row(chi, degree, method.name, ys[chi]) for chi in targets]
+    inputs = {"n": args.n, "char_index": args.char_index, "r": args.r, "j": args.j,
+              "method": args.method, "all_chars": args.all_chars}
     lines = ("chi index %d (mod %d), degree %d, method %s: %s"
-             % (chi.index, args.n, degree, name, _cyc_text(ys[chi])) for chi in targets)
+             % (chi.index, args.n, degree, method.name, _cyc_text(ys[chi])) for chi in targets)
     _emit(args, "coord", inputs, rows, lines)
     return 0
 
@@ -301,13 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("char_index", type=int, nargs="?")
     p.add_argument("r", type=int, nargs="?")
     p.add_argument("--j", type=int, help="cotangent-number index (with --method cotnum)")
-    p.add_argument(
-        "--method",
-        choices=("def", "closed", "prim", "cotnum"),
-        default="def",
-        help="def: definitional sum; closed: general closed form; "
-        "prim: primitive-character closed form; cotnum: cotangent-number closed form",
-    )
+    p.add_argument("--method", choices=list(METHODS), default="def",
+                   help="; ".join("%s: %s" % (key, m.summary) for key, m in METHODS.items()))
     p.add_argument("--all-chars", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_coord)

@@ -20,12 +20,12 @@ This module computes y(chi|a) three independent ways:
   closed forms through generalized Bernoulli numbers and Euler factors,
   summed in integer buckets (below);
 * :func:`coord_power_primitive` uses the Bernoulli-convolution form that
-  is valid for primitive characters.
+  is valid for primitive characters,
 
-plus :func:`reconstruct` (recover a from all its coordinates) and
-:func:`direct_sum_float`, a floating-point evaluation of the raw character
-sum used only to cross-check ``complex_eval``, never to adjudicate exact
-results.
+each one entry of :data:`METHODS`, plus :func:`reconstruct` (recover a
+from all its coordinates) and :func:`direct_sum_float`, a floating-point
+evaluation of the raw character sum used only to cross-check
+``complex_eval``, never to adjudicate exact results.
 
 Cross-field arithmetic always goes through explicit embeddings into
 Q(zeta_L) with L = lcm(n, m).  coord_definitional and reconstruct share
@@ -109,12 +109,13 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, _twisted_sum, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
+from .cotangent import cotangent_number, icot_power
 from .cyclotomic import (
     CycElem,
     _cyclic_mul,
@@ -353,6 +354,38 @@ def coord_power_primitive(chi: DirichletCharacter, r: int) -> CycElem:
         if d:
             pairs.append((_bernoulli_cached(j, chi), -(2**r) * d / math.factorial(j)))
     return _combination(m, pairs)
+
+
+class Method(NamedTuple):
+    """A way to compute y(chi | element(d, n)): the name coord rows report,
+    its coord -h summary, the degree ("r": (i cot(pi/n))^r, "j": the
+    cotangent number), one(chi, d), every(n, d) for every chi mod n where
+    batched, and whether only characters of conductor n count."""
+
+    name: str
+    summary: str
+    degree: str
+    one: Callable
+    every: Optional[Callable] = None
+    primitive: bool = False
+
+    def element(self, d: int, n: int) -> CycElem:
+        return (icot_power if self.degree == "r" else cotangent_number)(d, n)
+
+
+# The methods by their CLI names.  The lambdas look their callees up here at
+# call time, so rebinding coordinates.<name> reaches every call.
+METHODS: dict[str, Method] = {
+    "def": Method("definitional", "definitional sum", "r",
+                  lambda chi, r: coord_definitional(chi, icot_power(r, chi.modulus)),
+                  lambda n, r: coords_definitional(n, icot_power(r, n))),
+    "closed": Method("power_closed", "general closed form", "r",
+                     lambda chi, r: coord_power_closed(chi, r)),
+    "prim": Method("primitive_closed", "primitive-character closed form", "r",
+                   lambda chi, r: coord_power_primitive(chi, r), primitive=True),
+    "cotnum": Method("cotnum_closed", "cotangent-number closed form", "j",
+                     lambda chi, j: coord_cotangent_closed(chi, j)),
+}
 
 
 def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem:

@@ -8,11 +8,11 @@ loop counts the cases, times the suite and records every mismatch
 case checks nothing, so before the first suite runs, run_suites draws the
 first case of each selected suite and refuses one that has none.  The
 three closed-form suites share one sweep against the definitional
-coordinate.  Every suite builds the elements of a modulus
-first and takes all their definitional coordinates from one
-coords_definitional_many call: one defining sum per Galois orbit of
-characters for all the elements at once, in element lanes, the other
-members by CycElem.galois.  Exact suites never consult floating
+coordinate, each driven by its entry of coordinates.METHODS.  Every suite
+builds the elements of a modulus first and takes all their definitional
+coordinates from one coords_definitional_many call: one defining sum
+per Galois orbit of characters for all the elements at once, in element
+lanes, the other members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
 the coordinate and the Gauss sum, each evaluated in its own field.  It
@@ -41,14 +41,7 @@ from .combinatorics import (
     coeff_bridge,
     cot_power_coeff,
 )
-from .coordinates import (
-    coord_cotangent_closed,
-    coord_power_closed,
-    coord_power_primitive,
-    coords_definitional_many,
-    direct_sum_float,
-    reconstruct,
-)
+from .coordinates import METHODS, coords_definitional_many, direct_sum_float, reconstruct
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem
 from .series import (
@@ -165,25 +158,26 @@ def _recorded(cases_of: Callable[[SuiteConfig], Iterable[tuple]]):
     return run
 
 
-def _closed_vs_definitional(moduli, degrees, key, element, closed, methods,
-                            primitive=False):
-    """Closed form vs definitional coordinate of element(d, n), for every
-    modulus n, degree d (named key in the inputs) and character mod n.
+def _closed_vs_definitional(moduli, degrees, name):
+    """METHODS[name] vs the definitional coordinate of the method's element,
+    for every modulus n, degree d (keyed "r" or "j" as the method's degree)
+    and character mod n; each case carries methods "<name>/def".
 
     Each element's purity (real for even d, imaginary for odd d) is checked
-    first, unless primitive, which keeps only the characters of conductor n.
+    first, unless the method is primitive (only characters of conductor n).
     """
+    method, key = METHODS[name], METHODS[name].degree
     for n in moduli:
         chars = enumerate_characters(n)
-        elements = [element(d, n) for d in degrees]
+        elements = [method.element(d, n) for d in degrees]
         for d, a, ys in zip(degrees, elements, coords_definitional_many(n, elements)):
-            if not primitive:
+            if not method.primitive:
                 mirror = a if d % 2 == 0 else -a
                 yield {"n": n, key: d, "purity": "conjugate"}, a.conjugate(), mirror, None
             for idx, chi in enumerate(chars):
-                if not primitive or chi.conductor() == n:
-                    yield ({"n": n, "char_index": idx, key: d, "methods": methods},
-                           closed(chi, d), ys[chi], None)
+                if not method.primitive or chi.conductor() == n:
+                    yield ({"n": n, "char_index": idx, key: d, "methods": name + "/def"},
+                           method.one(chi, d), ys[chi], None)
 
 
 @_recorded
@@ -196,8 +190,7 @@ def suite_power_closed_form(config: SuiteConfig):
     along the way.
     """
     yield from _closed_vs_definitional(
-        range(2, config.n_max + 1), range(1, config.r_max + 1), "r",
-        icot_power, coord_power_closed, "closed/def")
+        range(2, config.n_max + 1), range(1, config.r_max + 1), "closed")
 
 
 @_recorded
@@ -205,8 +198,7 @@ def suite_cotnum_closed_form(config: SuiteConfig):
     """Closed form vs definitional coordinate for cotangent numbers
     i^j cot_(j-1)(pi/n), all characters mod n <= n_max, j <= j_max."""
     yield from _closed_vs_definitional(
-        range(2, config.n_max + 1), range(1, config.j_max + 1), "j",
-        cotangent_number, coord_cotangent_closed, "cotnum/def")
+        range(2, config.n_max + 1), range(1, config.j_max + 1), "cotnum")
 
 
 @_recorded
@@ -224,11 +216,10 @@ def suite_primitive_closed_form(config: SuiteConfig):
     """Bernoulli-convolution closed form vs definitional coordinate for
     primitive characters: prime moduli <= eq_primitive_n_max plus the extra
     moduli (4 by default), r <= eq_primitive_r_max."""
-    moduli = [n for n in range(2, config.eq_primitive_n_max + 1) if is_prime(n)]
-    moduli += [n for n in config.eq_primitive_extra_moduli if n not in moduli]
+    primes = {n for n in range(2, config.eq_primitive_n_max + 1) if is_prime(n)}
     yield from _closed_vs_definitional(
-        sorted(moduli), range(1, config.eq_primitive_r_max + 1), "r",
-        icot_power, coord_power_primitive, "prim/def", primitive=True)
+        sorted(primes | set(config.eq_primitive_extra_moduli)),
+        range(1, config.eq_primitive_r_max + 1), "prim")
 
 
 @_recorded

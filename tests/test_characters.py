@@ -49,7 +49,7 @@ def test_value_order():
     for n in (5, 7, 8, 12):
         for chi in enumerate_characters(n):
             m = chi.order
-            assert chi.value_order == m
+            assert chi.order == m
             for k in units(n):
                 assert chi.eval(k) ** m == CycElem.one(m)
 

@@ -110,6 +110,28 @@ def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypa
         assert json.loads(out)["results"] == [row]
 
 
+@pytest.mark.parametrize("method, degree", [("closed", ["3"]), ("cotnum", ["--j", "3"])])
+@pytest.mark.parametrize("n", [12, 47])
+def test_coord_all_chars_rows_are_the_single_character_rows(capsys, method, degree, n):
+    # a method without a batched path takes the characters one at a time
+    code, out, _ = run_cli(capsys, "coord", str(n), *degree, "--all-chars", "--method", method,
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == euler_phi(n)
+    for idx, row in enumerate(rows):
+        code, out, _ = run_cli(capsys, "coord", str(n), str(idx), *degree, "--method", method,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"] == [row]
+
+
+def test_coord_method_choices_are_the_table():
+    (action,) = [a for a in cli.build_parser().commands["coord"]._actions
+                 if a.dest == "method"]
+    assert list(action.choices) == list(coordinates.METHODS)
+
+
 def test_coord_single_character_makes_one_definitional_call(capsys, monkeypatch):
     calls = []
 
@@ -117,8 +139,8 @@ def test_coord_single_character_makes_one_definitional_call(capsys, monkeypatch)
         calls.append((chi, a))
         return kernel(chi, a)
 
-    kernel = cli.coord_definitional
-    monkeypatch.setattr(cli, "coord_definitional", counted)
+    kernel = coordinates.coord_definitional
+    monkeypatch.setattr(coordinates, "coord_definitional", counted)
     code, _, _ = run_cli(capsys, "coord", "47", "5", "3", "--method", "def", "--format", "json")
     assert code == 0
     assert len(calls) == 1
@@ -342,7 +364,7 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def broken(chi, a):
         raise exc
 
-    monkeypatch.setattr(cli, "coord_definitional", broken)
+    monkeypatch.setattr(coordinates, "coord_definitional", broken)
     code, out, err = run_cli(capsys, "coord", "5", "1", "3", "--method", "def")
     assert code == 3
     assert out == ""

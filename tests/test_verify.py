@@ -1,10 +1,11 @@
+import json
 import sys
 from fractions import Fraction
 
 import pytest
 
 from charcoords import bernoulli, characters, combinatorics, coordinates, cotangent
-from charcoords import cyclotomic, series, verify
+from charcoords import cli, cyclotomic, series, verify
 from charcoords.cyclotomic import CycElem
 from charcoords.memo import clear_memos
 from charcoords.verify import (
@@ -158,12 +159,51 @@ def test_closed_forms_catch_a_flipped_euler_term(monkeypatch):
         results = run_suites(cfg)
     finally:
         clear_memos()
+    methods = {"power_closed_form": "closed/def", "cotnum_closed_form": "cotnum/def"}
     for result in results:
         assert result.failures, result.name
         for f in result.failures:
             n = f.inputs["n"]
             chi = characters.enumerate_characters(n)[f.inputs["char_index"]]
             assert n % 3 == 0 and chi.conductor() % 3 != 0, f.inputs
+            assert f.inputs["methods"] == methods[result.name], f.inputs
+
+
+def test_a_planted_closed_form_fault_reaches_the_suite_and_the_cli(monkeypatch, capsys):
+    """coord_power_closed off at one (chi, r) fails exactly that
+    power_closed_form case and changes that coord --method closed output:
+    both read the function through coordinates.METHODS."""
+    n, idx, r = 7, 3, 3
+    target = characters.enumerate_characters(n)[idx]
+    original = coordinates.coord_power_closed
+
+    def planted(chi, d):
+        y = original(chi, d)
+        return y + CycElem.one(y.order) if (chi, d) == (target, r) else y
+
+    argv = ["coord", str(n), str(idx), str(r), "--method", "closed", "--format", "json"]
+    assert cli.main(argv) == 0
+    before = capsys.readouterr().out
+    monkeypatch.setattr(coordinates, "coord_power_closed", planted)
+    (result,) = run_suites(config_with_overrides(MINI, suites=("power_closed_form",)))
+    assert [f.inputs for f in result.failures] == [
+        {"n": n, "char_index": idx, "r": r, "methods": "closed/def"}]
+    assert cli.main(argv) == 0
+    after = capsys.readouterr().out
+    assert after != before
+    (row,) = json.loads(after)["results"]
+    assert CycElem.from_json_dict(row["value"]) == planted(target, r)
+
+
+def test_repeated_extra_moduli_are_checked_once():
+    def cases(extra):
+        cfg = config_with_overrides(suites=("primitive_closed_form",), eq_primitive_n_max=3,
+                                    eq_primitive_extra_moduli=extra)
+        return run_suites(cfg)[0].cases
+
+    assert cases("5,5") == cases("5") == cases("5,3,5")
+    (default,) = run_suites(config_with_overrides(suites=("primitive_closed_form",)))
+    assert default.cases == 415
 
 
 def test_float_crosscheck_records_the_literal_two_factor_errors():
