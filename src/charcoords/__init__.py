@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .arith import euler_phi
 from .bernoulli import (
-    BernoulliPolynomial,
     bernoulli_number,
     bernoulli_polynomial,
     generalized_bernoulli,
@@ -37,7 +36,6 @@ from .coordinates import (
     reconstruct,
 )
 from .cotangent import (
-    CotDerivPoly,
     cot_derivative_poly,
     cotangent_number,
     icot_power,
@@ -64,7 +62,6 @@ from .verify import SUITE_NAMES, SuiteConfig, SuiteResult, run_suites
 __all__ = [
     "__version__",
     "euler_phi",
-    "BernoulliPolynomial",
     "bernoulli_number",
     "bernoulli_polynomial",
     "generalized_bernoulli",
@@ -87,7 +84,6 @@ __all__ = [
     "coords_definitional_many",
     "direct_sum_float",
     "reconstruct",
-    "CotDerivPoly",
     "cot_derivative_poly",
     "cotangent_number",
     "icot_power",

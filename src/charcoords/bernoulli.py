@@ -7,7 +7,6 @@ Convention: B_1 = -1/2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _scaled_ints
@@ -32,33 +31,15 @@ def bernoulli_number(m: int) -> Fraction:
     return _bernoulli_row(m)
 
 
-@dataclass(frozen=True)
-class BernoulliPolynomial:
-    """B_r(x) with exact coefficients, ascending powers of x."""
-
-    degree: int
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> tuple[Fraction, ...]:
-        return tuple(i * c for i, c in enumerate(self.coeffs) if i)
-
-
 @memo
-def bernoulli_polynomial(r: int) -> BernoulliPolynomial:
-    """B_r(x) = sum_k C(r, k) B_k x^(r-k)."""
+def bernoulli_polynomial(r: int) -> tuple[Fraction, ...]:
+    """B_r(x) = sum_k C(r, k) B_k x^(r-k), by its ascending coefficients."""
     if r < 0:
         raise ValueError("bernoulli_polynomial needs r >= 0")
     coeffs = [Fraction(0)] * (r + 1)
     for k in range(r + 1):
         coeffs[r - k] = math.comb(r, k) * bernoulli_number(k)
-    return BernoulliPolynomial(r, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
@@ -76,7 +57,7 @@ def generalized_bernoulli(r: int, chi: DirichletCharacter) -> CycElem:
     if chi.conductor() != f:
         raise ValueError("generalized_bernoulli needs a primitive character")
     m = chi.order
-    ints, D = _scaled_ints(bernoulli_polynomial(r).coeffs)
+    ints, D = _scaled_ints(bernoulli_polynomial(r))
     # D * f^r * B_r(x/f) has integer coefficients; Horner wants the highest first
     h = [c * f ** (r - i) for i, c in enumerate(ints)][::-1]
     acc = [0] * m

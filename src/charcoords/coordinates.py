@@ -108,7 +108,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .arith import euler_phi, prime_factors, units
@@ -118,6 +117,7 @@ from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import (
     CycElem,
+    _combination,
     _cyclic_mul,
     _pack,
     _project_cyclic,
@@ -266,18 +266,6 @@ def _euler_divisors(
         divs += [(d * p, -mu, (t + e) % m) for d, mu, t in divs]
         R *= p
     return R, tuple(divs)
-
-
-def _combination(m: int, pairs: list[tuple[CycElem, int | Fraction]]) -> CycElem:
-    """sum of q * y over the (y, q) in pairs, y in Q(zeta_m) and q rational,
-    as integer numerators over the lcm of the denominators: one _from_ints."""
-    dens = [y.den * q.denominator for y, q in pairs]
-    den = math.lcm(*dens)
-    acc = [0] * euler_phi(m)
-    for (y, q), d in zip(pairs, dens):
-        s = q.numerator * (den // d)
-        acc = [a + s * c for a, c in zip(acc, y.nums)]
-    return CycElem._from_ints(m, acc, den)
 
 
 @memo

@@ -19,10 +19,9 @@ gracefully.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import _schoolbook_mul
-from .cyclotomic import CycElem
+from .cyclotomic import CycElem, _combination
 from .memo import memo, recurrence
 
 # p_0(y) = y, p_(l+1) = -(1 + y^2) * p_l', ascending coefficients
@@ -32,27 +31,16 @@ _cot_poly = recurrence(
 )
 
 
-@dataclass(frozen=True)
-class CotDerivPoly:
-    """cot_l written as a polynomial in y = cot.
+def cot_derivative_poly(l: int) -> tuple[int, ...]:
+    """The l-th derivative of cot as a polynomial p_l in y = cot, by its
+    ascending integer coefficients.
 
-    Satisfies p_0 = y and p_(l+1) = -(1 + y^2) * dp_l/dy, so p_l has degree
-    l + 1 and only terms of degree congruent to l + 1 mod 2.
+    p_0 = y and p_(l+1) = -(1 + y^2) * dp_l/dy, so p_l has degree l + 1
+    and only terms of degree congruent to l + 1 mod 2.
     """
-
-    order: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def cot_derivative_poly(l: int) -> CotDerivPoly:
-    """Polynomial giving the l-th derivative of cot in terms of cot."""
     if l < 0:
         raise ValueError("cot_derivative_poly needs l >= 0")
-    return CotDerivPoly(l, _cot_poly(l))
+    return _cot_poly(l)
 
 
 @memo
@@ -91,12 +79,11 @@ def cotangent_number(j: int, n: int) -> CycElem:
         raise ValueError("cotangent_number needs j >= 1")
     if n < 2:
         raise ValueError("cotangent_number needs n >= 2")
-    poly = cot_derivative_poly(j - 1)
-    total = CycElem.zero(n)
-    for m, c in enumerate(poly.coeffs):
+    pairs = []
+    for m, c in enumerate(cot_derivative_poly(j - 1)):
         if c:
             if (j - m) % 2:
                 raise ArithmeticError("parity violation in cotangent polynomial")
-            term = CycElem.one(n) if m == 0 else icot_power(m, n)
-            total = total + term * (c * (-1) ** ((j - m) // 2))
-    return total
+            y = CycElem.one(n) if m == 0 else icot_power(m, n)
+            pairs.append((y, c * (-1) ** ((j - m) // 2)))
+    return _combination(n, pairs)

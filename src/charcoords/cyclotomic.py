@@ -280,15 +280,16 @@ def _cyclic_mul(vec: Sequence[int], terms: Sequence[tuple[int, int]], N: int) ->
     The term list is short next to vec (a Gauss sum has phi(f) terms, an
     Euler product a few), so the packed branch is no dense product: vec is
     packed once into X and the result is the sum of c * (X << 8*nb*t), one
-    shifted add per term, folded once modulo x^N - 1.  Every coefficient,
-    before and after the fold, is at most max|vec| * sum|c|; the width is
-    taken for twice that, and for vec itself should every c be zero.
-    Packed when vec has _KRONECKER_MIN nonzero entries and terms that many
-    terms, else term by term."""
+    shifted add per term (the shifted copy itself when c = 1, the usual
+    multiplicity of a Gauss-sum term), folded once modulo x^N - 1.  Every
+    coefficient, before and after the fold, is at most max|vec| * sum|c|;
+    the width is taken for twice that, and for vec itself should every c be
+    zero.  Packed when vec has _KRONECKER_MIN nonzero entries and terms
+    that many terms, else term by term."""
     if min(N - vec.count(0), len(terms)) >= _KRONECKER_MIN:
         nb = _width(2 * max(map(abs, vec)) * max(sum(abs(c) for _, c in terms), 1))
         X, w = _pack(vec, nb), 8 * nb
-        x = sum(c * (X << w * t) for t, c in terms)
+        x = sum(X << w * t if c == 1 else c * (X << w * t) for t, c in terms)
         return _unpack(_fold(x, 2, N, nb), N, nb)
     out = [0] * N
     for i, a in enumerate(vec):
@@ -557,7 +558,7 @@ class CycElem:
         root = cmath.exp(2j * math.pi / self.order)
         acc = 0j
         for c in reversed(self.nums):
-            acc = acc * root + complex(c / self.den)  # int/int rounds exactly once
+            acc = acc * root + c / self.den  # int/int rounds exactly once
         return acc
 
     # -- serialization -------------------------------------------------------
@@ -575,6 +576,18 @@ class CycElem:
             self.order,
             ", ".join(str(c) for c in self.coeffs),
         )
+
+
+def _combination(m: int, pairs: list[tuple[CycElem, int | Fraction]]) -> CycElem:
+    """sum of q * y over the (y, q) in pairs, y in Q(zeta_m) and q rational,
+    as integer numerators over the lcm of the denominators: one _from_ints."""
+    dens = [y.den * q.denominator for y, q in pairs]
+    den = math.lcm(*dens)
+    acc = [0] * euler_phi(m)
+    for (y, q), d in zip(pairs, dens):
+        s = q.numerator * (den // d)
+        acc = [a + s * c for a, c in zip(acc, y.nums)]
+    return CycElem._from_ints(m, acc, den)
 
 
 def to_common_order(a: CycElem, b: CycElem) -> tuple[CycElem, CycElem]:

@@ -16,9 +16,9 @@ lanes, the other members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
 the coordinate and the Gauss sum, each evaluated in its own field.  It
-evaluates tau(chi_f) once per character and modulus, not once per
-exponent, and its direct sums read per-n and per-m tables of doubles,
-which changes no value.
+evaluates tau(chi_f) once per primitive character in a run, not once per
+character, modulus or exponent, and its direct sums read per-n and per-m
+tables of doubles, which changes no value.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -231,23 +231,28 @@ def suite_float_crosscheck(config: SuiteConfig):
     Q(zeta_lcm(f, m)), never their exact product.  The match binds
     complex_eval (and the defining identities) to an independent
     double-precision computation; it never adjudicates the exact paths.
-    tau(chi_f) is evaluated once per character and modulus and shared by
-    every r, and direct_sum_float reads its cotangent and root-of-unity
-    doubles from per-n and per-m tables, so every value is the one the
-    per-case computation gives.
+    tau(chi_f) is evaluated once per primitive character in a run, kept in
+    a dict local to the run and shared by every modulus and r, and
+    direct_sum_float reads its cotangent and root-of-unity doubles from
+    per-n and per-m tables, so every value is the one the per-case
+    computation gives.
     """
     tol = config.float_tolerance
+    tau_of = {}  # chi_f -> tau(chi_f) as a double
     for n in range(2, config.float_n_max + 1):
         chars = enumerate_characters(n)
         conjugates = [chi.conjugate() for chi in chars]
-        taus = [gauss_sum(chi.primitive_part()).complex_eval() for chi in chars]
+        parts = [chi.primitive_part() for chi in chars]
+        for chif in parts:
+            if chif not in tau_of:
+                tau_of[chif] = gauss_sum(chif).complex_eval()
         values = [chi.unit_values() for chi in chars]
         powers = range(1, config.float_r_max + 1)
         coords = coords_definitional_many(n, [icot_power(r, n) for r in powers])
         for r, ys in zip(powers, coords):
             for idx, chi in enumerate(chars):
                 left = direct_sum_float(chi, r, values=values[idx])
-                right = ys[conjugates[idx]].complex_eval() * taus[idx]
+                right = ys[conjugates[idx]].complex_eval() * tau_of[parts[idx]]
                 err = abs(left - right)
                 inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
                 yield inputs, left, right, err < tol

@@ -75,9 +75,9 @@ def _coeffs_by_triangular_solve(r):
         # i^j p_(j-1)(cot) = sum_m a_m (-1)^((j-m)/2) (i cot)^m, and dividing
         # by i^r turns (i cot)^m into (-1)^((r-m)/2) y^m; combined sign:
         sign_for = lambda m: (-1) ** ((j - m) // 2) * (-1) ** ((r - m) // 2)
-        cj = target.get(j, F(0)) / (poly.coeffs[j] * sign_for(j))
+        cj = target.get(j, F(0)) / (poly[j] * sign_for(j))
         coeffs[j] = cj
-        for m, am in enumerate(poly.coeffs):
+        for m, am in enumerate(poly):
             if am:
                 target[m] = target.get(m, F(0)) - cj * am * sign_for(m)
     constant = target.get(0, F(0))

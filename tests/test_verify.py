@@ -112,6 +112,20 @@ def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
     assert max(errors) > 1.0
 
 
+def test_float_crosscheck_evaluates_each_gauss_sum_once(monkeypatch):
+    """tau(chi_f) is evaluated once per primitive part, not per character:
+    the 45 characters mod n <= 12 have 27 distinct primitive parts."""
+    calls = []
+    original = verify.gauss_sum
+    monkeypatch.setattr(verify, "gauss_sum", lambda chi: calls.append(chi) or original(chi))
+    result = verify.SUITES["float_crosscheck"](config_with_overrides(MINI, float_n_max=12))
+    assert result.passed
+    chars = [chi for n in range(2, 13) for chi in characters.enumerate_characters(n)]
+    assert len(chars) == 45
+    assert len(calls) == len(set(calls)) == 27
+    assert set(calls) == {chi.primitive_part() for chi in chars}
+
+
 @pytest.mark.parametrize(
     "module, name, at, delta, expected",
     [
