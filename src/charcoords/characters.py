@@ -86,10 +86,12 @@ class CharacterGroup:
         self._log_table: dict[int, tuple[int, ...]] | None = None
         self._unit_columns: tuple | None = None
         self._characters: dict[tuple[int, ...], DirichletCharacter] = {}
+        self._all: tuple[DirichletCharacter, ...] | None = None
 
     @property
     def log_table(self) -> dict[int, tuple[int, ...]]:
-        """unit residue -> exponent tuple on the generators (built lazily)."""
+        """unit residue -> exponent tuple on the generators, in lexicographic
+        exponent order (built lazily)."""
         if self._log_table is None:
             table: dict[int, tuple[int, ...]] = {}
             for exps in itertools.product(*(range(c.order) for c in self.components)):
@@ -111,6 +113,13 @@ class CharacterGroup:
             logs = [self.log_table[k % self.modulus] for k in ks]
             self._unit_columns = (ks, tuple(zip(*logs)))
         return self._unit_columns
+
+    @property
+    def characters(self) -> tuple["DirichletCharacter", ...]:
+        """Every character, in lexicographic exponent order (built lazily)."""
+        if self._all is None:
+            self._all = tuple(self.character(exps) for exps in self.log_table.values())
+        return self._all
 
     def character(self, exponents: tuple[int, ...]) -> "DirichletCharacter":
         """The one shared instance of the character with these exponents.
@@ -285,11 +294,7 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
     """
     if n < 2:
         raise ValueError("character enumeration needs n >= 2")
-    g = character_group(n)
-    return [
-        g.character(exps)
-        for exps in itertools.product(*(range(c.order) for c in g.components))
-    ]
+    return list(character_group(n).characters)  # a new list: callers may change it
 
 
 def _twisted_sum(chi: DirichletCharacter, nums: tuple[int, ...], L: int) -> list[int]:

@@ -20,8 +20,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .bernoulli import bernoulli_number, generalized_bernoulli
@@ -35,15 +37,35 @@ from .series import TruncationError
 from .verify import SuiteConfig, config_with_overrides, run_suites
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """obj as json.dumps prints it with sorted keys and a two-space indent, byte
+    for byte, without the pure-Python encoder that any indent selects: one
+    str.join per container, and json's own rendering of each leaf, through
+    json.dumps only for the rare one (nan, inf, subclasses).  Keys must be
+    strings; an unknown type raises TypeError, as in json.dumps."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return json.dumps(obj)
+
+
 def _emit(args, command: str, inputs: dict, results, text_lines) -> None:
     if getattr(args, "format", "text") == "json":
-        envelope = {
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-            "version": __version__,
-        }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_json({"command": command, "inputs": inputs, "results": results,
+                     "version": __version__}))
     else:
         for line in text_lines:
             print(line)
@@ -62,7 +84,7 @@ def _cyc_text(value: CycElem) -> str:
     z = _float_or_none(value)
     return "order %d, coeffs [%s], %s" % (
         value.order,
-        ", ".join(str(c) for c in value.coeffs),
+        ", ".join(value.coeff_strings()),
         "no finite double" if z is None else "~ %.12g%+.12gi" % (z.real, z.imag),
     )
 
@@ -187,7 +209,7 @@ def _cmd_bernoulli(args) -> int:
     if args.char is None:
         value = CycElem.from_rational(bernoulli_number(args.r))
         inputs = {"r": args.r}
-        lines = ["B_%d = %s" % (args.r, value.coeffs[0])]
+        lines = ["B_%d = %s" % (args.r, value.coeff_strings()[0])]
     else:
         n, index = args.char
         chars = enumerate_characters(n)
@@ -246,7 +268,7 @@ def _cmd_verify(args) -> int:
             "passed": total_failures == 0,
             "version": __version__,
         }
-        print(json.dumps(report, sort_keys=True, indent=2, default=list))
+        print(_json(report))
     else:
         for r in results:
             status = "ok" if r.passed else "FAIL (%d)" % len(r.failures)

@@ -563,19 +563,23 @@ class CycElem:
 
     # -- serialization -------------------------------------------------------
 
+    def coeff_strings(self) -> list[str]:
+        """str(c) for c in coeffs, from the integers with one gcd each:
+        "p" when the reduced denominator is 1, else "p/q" in lowest terms."""
+        den = self.den
+        return [str(c // g) if (g := math.gcd(c, den)) == den else "%d/%d" % (c // g, den // g)
+                for c in self.nums]
+
     def to_json_dict(self) -> dict:
         """Canonical JSON form: {"order": N, "coeffs": ["p/q", ...]}."""
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": self.coeff_strings()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CycElem":
         return cls(int(data["order"]), tuple(Fraction(s) for s in data["coeffs"]))
 
     def __repr__(self):
-        return "CycElem(order=%d, coeffs=(%s))" % (
-            self.order,
-            ", ".join(str(c) for c in self.coeffs),
-        )
+        return "CycElem(order=%d, coeffs=(%s))" % (self.order, ", ".join(self.coeff_strings()))
 
 
 def _combination(m: int, pairs: list[tuple[CycElem, int | Fraction]]) -> CycElem:

@@ -123,7 +123,7 @@ class SuiteResult:
 
 def _value_str(v) -> str:
     if isinstance(v, CycElem):
-        return "CycElem[%d]%s" % (v.order, [str(c) for c in v.coeffs])
+        return "CycElem[%d]%s" % (v.order, v.coeff_strings())
     return repr(v)
 
 

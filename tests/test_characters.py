@@ -210,6 +210,23 @@ def test_characters_are_shared_per_group():
     assert chi.group.character(shifted) is chi
 
 
+def test_enumeration_returns_a_new_list_of_the_same_characters():
+    """Each call returns its own list, so a caller may change it, holding
+    the characters every earlier call held, by identity."""
+    first = enumerate_characters(47)
+    snapshot = list(first)
+    first.append(first[0])
+    first.reverse()
+    second = enumerate_characters(47)
+    assert second is not first
+    assert len(second) == 46
+    assert all(a is b for a, b in zip(second, snapshot))
+    assert enumerate_characters(47) is not second
+    g = character_group(47)
+    assert second == [g.character((e,)) for e in range(46)]
+    assert all(chi is g.character(chi.exponents) for chi in second)
+
+
 def test_gauss_sum_examples():
     triv = enumerate_characters(4)[0].primitive_part()
     assert gauss_sum(triv) == CycElem.one(1)

@@ -415,13 +415,22 @@ def test_main_twice_in_one_process(capsys):
     assert first == second
 
 
-# generated by the CLI before the big-integer kernels went in; the
-# character mod 46 has order 11 and takes the general embedding solver
+# the first four were generated by the CLI before the big-integer kernels
+# went in (the character mod 46 has order 11, so the sum runs in
+# Q(zeta_506)), the rest by the CLI that still encoded with json.dumps:
+# chars 2 pins an empty list, the all-chars files a list of coord rows
 GOLDEN = {
     "coord_47_5_3_def.json": ("coord", "47", "5", "3", "--method", "def"),
     "cot_47_power_3.json": ("cot", "47", "--power", "3"),
     "coord_46_2_4_def.json": ("coord", "46", "2", "4", "--method", "def"),
     "coord_49_1_3_def.json": ("coord", "49", "1", "3", "--method", "def"),
+    "chars_2.json": ("chars", "2"),
+    "chars_12.json": ("chars", "12"),
+    "cot_4_j_3.json": ("cot", "4", "--j", "3"),
+    "bernoulli_1_char_4_1.json": ("bernoulli", "1", "--char", "4", "1"),
+    "coord_12_3_all_closed.json": ("coord", "12", "3", "--all-chars", "--method", "closed"),
+    "coord_12_all_j_3_cotnum.json":
+        ("coord", "12", "--all-chars", "--j", "3", "--method", "cotnum"),
 }
 
 
@@ -431,6 +440,34 @@ def test_golden_json_output(capsys, name):
     assert code == 0
     expected = (Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
     assert out == expected
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()  # nan, +-inf, -0.0, subnormals and values up to 1e308
+    | st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7])
+    | st.text()  # quotes, backslashes, control and non-ASCII characters
+    | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028\U0001f600"]),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_layout_is_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_rejects_unknown_types():
+    for value in ({"a": [1, {2}]}, Fraction(1, 2), {"x": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,26 @@ def element_triples(draw):
     return tuple(draw(elements(order=n)) for _ in range(3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    elements(),
+    st.sampled_from([1, 2, 3, 4, 12]),
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12),
+    st.integers(1, 2**40),
+)
+def test_coeff_strings_are_the_fraction_strings(a, order, nums, den):
+    """The integer-derived coefficient strings of to_json_dict, repr and
+    the CLI are str(Fraction) of each coefficient: negative and zero
+    numerators, denominators above 1 that a coefficient may or may not
+    share, order 1."""
+    b = CycElem._from_ints(order, [c * 6 for c in nums], den * 6)
+    for x in (a, b, CycElem.zero(), CycElem.from_rational(F(-7, 3))):
+        strings = [str(c) for c in x.coeffs]
+        assert x.coeff_strings() == strings
+        assert x.to_json_dict()["coeffs"] == strings
+        assert repr(x) == "CycElem(order=%d, coeffs=(%s))" % (x.order, ", ".join(strings))
+
+
 @settings(max_examples=60, deadline=None)
 @given(element_triples())
 def test_ring_axioms(abc):
