@@ -1,10 +1,16 @@
 """charcoords: exact character coordinates of cotangent powers and
 cotangent numbers in cyclotomic fields, with machine verification of the
-closed-form identities relating them to generalized Bernoulli numbers."""
+closed-form identities relating them to generalized Bernoulli numbers.
+
+The names of charcoords.series and charcoords.verify (and those two
+modules) are imported on first access, not with the package, so that a
+CLI command that runs no verify suite loads neither."""
 
 __version__ = "0.1.0"
 
-from .arith import euler_phi
+import importlib
+
+from .arith import TruncationError, euler_phi
 from .bernoulli import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -48,16 +54,37 @@ from .cyclotomic import (
     project_to_subfield,
     to_common_order,
 )
-from .series import (
-    LaurentSeries,
-    TruncationError,
-    bernoulli_conv_coeff_from_series,
-    series_icot_half,
-    series_one_minus_exp_inv,
-    verify_power_decomposition,
-    verify_stirling_identity,
-)
-from .verify import SUITE_NAMES, SuiteConfig, SuiteResult, run_suites
+
+# name -> the module it is imported from on first access (PEP 562), the
+# module's own name included
+_LAZY = dict.fromkeys((
+    "series",
+    "LaurentSeries",
+    "bernoulli_conv_coeff_from_series",
+    "series_icot_half",
+    "series_one_minus_exp_inv",
+    "verify_power_decomposition",
+    "verify_stirling_identity",
+), "series") | dict.fromkeys((
+    "verify",
+    "SUITE_NAMES",
+    "SuiteConfig",
+    "SuiteResult",
+    "run_suites",
+), "verify")
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = importlib.import_module("." + module, __name__)
+    return value if name == module else getattr(value, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

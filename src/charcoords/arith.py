@@ -1,7 +1,8 @@
 """Small integer helpers: factorization, totients, divisors, unit lists,
 the package's one polynomial product, of integer coefficient lists
 (_schoolbook_mul) cleared of denominators onto one (_scaled_ints), and its
-one square-and-multiply loop (_power)."""
+one square-and-multiply loop (_power), and the package's two internal-error
+types, which the CLI reports as internal errors (exit code 3)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .memo import memo
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
+class TruncationError(ValueError):
+    """A coefficient beyond the known truncation order was requested.
+
+    Raised by :mod:`charcoords.series`, which re-exports it; defined here so
+    that the CLI can catch it without importing that module."""
 
 
 def prime_factors(n: int) -> dict[int, int]:

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, euler_phi, prime_factors, units
 from .cyclotomic import CycElem
 from .memo import memo
 
 
-@dataclass(frozen=True)
-class CrtComponent:
+class CrtComponent(NamedTuple):
     prime_power: int
     generator: int        # residue mod prime_power
     order: int

@@ -13,6 +13,16 @@ and print "<suite>: N cases, F failures" plus one mismatch line per failure.
 The verify subcommand takes its configuration from its argv alone: the
 range flags and --set key=value, which reaches every SuiteConfig field.
 No file or environment variable changes what it checks.
+
+Importing this module and building its parser loads the package's
+arith, memo, cyclotomic, characters, bernoulli, combinatorics, cotangent
+and coordinates modules (charcoords/__init__.py imports them) and no
+dataclasses.  charcoords.verify, and with it charcoords.series, which
+only verify uses, load on first use: the three commands that run suites
+(verify, coeffs check, series verify) import verify.  main reports
+TruncationError and InternalError (FieldMembershipError is one) as
+internal errors, exit code 3; both are defined in charcoords.arith, so
+catching them loads neither module.
 """
 
 from __future__ import annotations
@@ -26,15 +36,14 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
+from .arith import InternalError, TruncationError
 from .bernoulli import bernoulli_number, generalized_bernoulli
 from .characters import enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .coordinates import METHODS
 from .cotangent import cotangent_number, icot_power
-from .cyclotomic import CycElem, FieldMembershipError
+from .cyclotomic import CycElem
 from .memo import memo
-from .series import TruncationError
-from .verify import SuiteConfig, config_with_overrides, run_suites
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -165,10 +174,12 @@ def _cmd_coord(args) -> int:
 
 # -- coeffs ------------------------------------------------------------------
 
-def _run_suite(config: SuiteConfig) -> int:
-    """Run the one suite of config: print "<suite>: N cases, F failures"
-    and the inputs of at most 20 mismatches; exit code 0 or 1."""
-    (result,) = run_suites(config)
+def _run_suite(**config) -> int:
+    """Run the one suite of SuiteConfig(**config): print "<suite>: N cases,
+    F failures" and the inputs of at most 20 mismatches; exit code 0 or 1."""
+    from .verify import SuiteConfig, run_suites
+
+    (result,) = run_suites(SuiteConfig(**config))
     print("%s: %d cases, %d failures" % (result.name, result.cases, len(result.failures)))
     for failure in result.failures[:20]:
         print("mismatch %s" % failure.inputs)
@@ -177,7 +188,7 @@ def _run_suite(config: SuiteConfig) -> int:
 
 def _cmd_coeffs(args) -> int:
     if args.kind == "check":
-        return _run_suite(SuiteConfig(suites=("coeff_bridge",), bridge_r_max=args.r))
+        return _run_suite(suites=("coeff_bridge",), bridge_r_max=args.r)
     if args.r < 1:
         raise ValueError("coefficient tables need r >= 1")
     coeff = cot_power_coeff if args.kind == "c" else bernoulli_conv_coeff
@@ -237,15 +248,17 @@ def _cmd_series(args) -> int:
         raise ValueError("--kmax must be >= 1, got %d" % args.kmax)
     if decomposition and args.rmax < 1:
         raise ValueError("--rmax must be >= 1, got %d" % args.rmax)
-    return _run_suite(SuiteConfig(
+    return _run_suite(
         suites=("series_oracle",), d_oracle_r_max=0, d_series_r_max=0,
         stirling_k_max=args.kmax if stirling else 0,
-        decomposition_r_max=args.rmax if decomposition else 0))
+        decomposition_r_max=args.rmax if decomposition else 0)
 
 
 # -- verify ---------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from .verify import config_with_overrides, run_suites
+
     # each range flag's dest is the SuiteConfig field it sets
     flags = ("n_max", "r_max", "j_max", "float_tolerance")
     overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
@@ -385,7 +398,7 @@ def main(argv=None) -> int:
         # the reader is gone: keep the final flush at exit from raising again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
-    except (TruncationError, FieldMembershipError) as exc:
+    except (TruncationError, InternalError) as exc:
         # internal consistency failures; TruncationError is a ValueError
         print("internal error: %s" % exc, file=sys.stderr)
         return 3

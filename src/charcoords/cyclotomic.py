@@ -63,17 +63,16 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import _power, _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
+from .arith import InternalError, _power, _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
 from .memo import memo
 
 Scalar = Union[int, Fraction]
 
 
-class FieldMembershipError(RuntimeError):
+class FieldMembershipError(InternalError):
     """A value expected to lie in a subfield Q(zeta_m) does not.
 
     Raised by the subfield projection used in coordinate computations;
@@ -207,24 +206,32 @@ def _sign_bits(n: int, nb: int) -> int:
 
 
 def _pack(v: Sequence[int], nb: int) -> int:
-    """v(2^(8*nb)) for ints |v[i]| < 2^(8*nb - 1)."""
+    """v(2^(8*nb)) for ints |v[i]| < 2^(8*nb - 1).  A value too wide for
+    nb bytes, or nb < 1, breaks the bound nb was derived from: InternalError."""
     code = _ARRAY_CODES.get(nb)
-    if code:
-        arr = array(code, v)
-        if sys.byteorder == "big":
-            arr.byteswap()
-        raw = arr.tobytes()
-    else:
-        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in v])
-    # a two's-complement digit c with its top bit flipped is c + 2^(8*nb-1)
-    s = _sign_bits(len(v), nb)
+    try:
+        if code:
+            arr = array(code, v)
+            if sys.byteorder == "big":
+                arr.byteswap()
+            raw = arr.tobytes()
+        else:
+            raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in v])
+        # a two's-complement digit c with its top bit flipped is c + 2^(8*nb-1)
+        s = _sign_bits(len(v), nb)
+    except (OverflowError, ValueError) as exc:
+        raise InternalError("a coefficient does not fit in %d packed bytes" % nb) from exc
     return (int.from_bytes(raw, "little") ^ s) - s
 
 
 def _unpack(x: int, n: int, nb: int) -> list[int]:
-    """The n coefficients of x = v(2^(8*nb)), for |v[i]| < 2^(8*nb - 1)."""
-    s = _sign_bits(n, nb)
-    raw = ((x + s) ^ s).to_bytes(n * nb, "little")
+    """The n coefficients of x = v(2^(8*nb)), for |v[i]| < 2^(8*nb - 1).  An
+    x too wide for n coefficients of nb bytes, or nb < 1: InternalError."""
+    try:
+        s = _sign_bits(n, nb)
+        raw = ((x + s) ^ s).to_bytes(n * nb, "little")
+    except (OverflowError, ValueError) as exc:
+        raise InternalError("%d coefficients do not fit in %d packed bytes each" % (n, nb)) from exc
     code = _ARRAY_CODES.get(nb)
     if code:
         arr = array(code, raw)
@@ -340,18 +347,18 @@ def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
 class CycElem:
     """An element of Q(zeta_N) in canonical residue form.
 
     The element is sum(nums[i] * zeta_N^i) / den with exactly phi(N) ints
     ``nums`` and den > 0, gcd(den, *nums) = 1; ``coeffs`` derives the
-    rational coefficients.  Instances are immutable and hashable.
+    rational coefficients.  Instances are immutable and hashable: equal
+    fields are equal elements, and assigning or deleting an attribute
+    raises AttributeError.  A pickle or copy rebuilds the element from
+    its three fields.
     """
 
-    order: int
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: Iterable[Scalar]):
         if order < 1:
@@ -375,6 +382,23 @@ class CycElem:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nums", tuple(ints))
         object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycElem is immutable: cannot set %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("CycElem is immutable: cannot delete %r" % name)
+
+    def __reduce__(self):
+        return CycElem._from_ints, (self.order, self.nums, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not CycElem:
+            return NotImplemented
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.order, self.nums, self.den))
 
     # -- constructors ------------------------------------------------------
 

@@ -18,19 +18,13 @@ A :class:`LaurentSeries` knows its coefficients for exponents
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import _power, _scaled_ints, _schoolbook_mul
+from .arith import TruncationError, _power, _scaled_ints, _schoolbook_mul
 from .combinatorics import cot_power_coeff, stirling_first_unsigned
 
 
-class TruncationError(ValueError):
-    """A coefficient beyond the known truncation order was requested."""
-
-
-@dataclass(frozen=True, init=False)
 class LaurentSeries:
     """sum(nums[i] * t^(low+i)) / den, known for exponents low..prec-1 and
     unknown from prec onward.
@@ -38,13 +32,12 @@ class LaurentSeries:
     The form is canonical: len(nums) == prec - low, den > 0,
     gcd(den, *nums) == 1 and nums[0] != 0, and the zero series is
     low = prec, nums = (), den = 1.  So equal series have equal fields;
-    ``coeffs`` derives the rational coefficients.  Instances are immutable.
+    ``coeffs`` derives the rational coefficients.  Instances are immutable
+    and hashable: assigning or deleting an attribute raises AttributeError,
+    and a pickle or copy rebuilds the series from its four fields.
     """
 
-    low: int
-    nums: tuple[int, ...]
-    den: int
-    prec: int
+    __slots__ = ("low", "nums", "den", "prec")
 
     def __init__(self, low: int, coeffs, prec: int):
         coeffs = [Fraction(c) for c in coeffs]
@@ -65,6 +58,24 @@ class LaurentSeries:
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "prec", prec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentSeries is immutable: cannot set %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("LaurentSeries is immutable: cannot delete %r" % name)
+
+    def __reduce__(self):
+        return LaurentSeries._from_ints, (self.low, self.nums, self.den, self.prec)
+
+    def __eq__(self, other):
+        if other.__class__ is not LaurentSeries:
+            return NotImplemented
+        return (self.low == other.low and self.prec == other.prec and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.low, self.nums, self.den, self.prec))
 
     @classmethod
     def _from_ints(cls, low: int, nums: Sequence[int], den: int, prec: int) -> "LaurentSeries":

@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .arith import is_prime
 from .characters import enumerate_characters, gauss_sum
@@ -61,8 +60,7 @@ SUITE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """Ranges and tolerances for the verification suites.
 
     Defaults reproduce the full published sweep; every field can be
@@ -89,8 +87,7 @@ class SuiteConfig:
     d_series_r_max: int = 8
 
 
-@dataclass
-class CaseFailure:
+class CaseFailure(NamedTuple):
     suite: str
     inputs: dict
     lhs: str
@@ -100,11 +97,10 @@ class CaseFailure:
         return {"suite": self.suite, "inputs": self.inputs, "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
-    failures: list[CaseFailure] = field(default_factory=list)
+    failures: tuple[CaseFailure, ...] = ()
     seconds: float = 0.0
 
     @property
@@ -151,7 +147,7 @@ def _recorded(cases_of: Callable[[SuiteConfig], Iterable[tuple]]):
             if not (lhs == rhs if ok is None else ok):
                 lhs, rhs = _value_str(lhs), _value_str(rhs)
                 failures.append(CaseFailure(name, inputs, lhs, rhs))
-        return SuiteResult(name, cases, failures, time.perf_counter() - t0)
+        return SuiteResult(name, cases, tuple(failures), time.perf_counter() - t0)
 
     SUITES[name] = run
     _CASES[name] = cases_of
@@ -343,7 +339,7 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
             except ValueError as exc:
                 raise ValueError("%s: %s" % (key, exc)) from None
         coerced[key] = value
-    cfg = replace(base or SuiteConfig(), **coerced)
+    cfg = (base or SuiteConfig())._replace(**coerced)
     # a tolerance of inf, nan or <= 0 makes every float case pass or fail,
     # and a negative range or an empty suite list checks nothing, whatever
     # the code computes; a modulus below 2 has no characters to sweep
@@ -352,11 +348,10 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
         raise ValueError("float_tolerance must be finite and positive, got %r" % tol)
     if not cfg.suites:
         raise ValueError("suites must name at least one suite")
-    for f in fields(SuiteConfig):
-        value = getattr(cfg, f.name)
+    for name, value in zip(SuiteConfig._fields, cfg):
         for v in value if isinstance(value, tuple) else (value,):
             if type(v) is int and v < 0:
-                raise ValueError("%s must not be negative, got %d" % (f.name, v))
+                raise ValueError("%s must not be negative, got %d" % (name, v))
     if any(n < 2 for n in cfg.eq_primitive_extra_moduli):
         raise ValueError("eq_primitive_extra_moduli must hold moduli >= 2, got %s"
                          % ",".join(map(str, cfg.eq_primitive_extra_moduli)))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcoords import cli, coordinates, series, verify
-from charcoords.arith import euler_phi
+from charcoords.arith import InternalError, euler_phi
 from charcoords.characters import enumerate_characters
 from charcoords.cli import main
 from charcoords.coordinates import coord_cotangent_closed
@@ -211,19 +211,23 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
         assert json.loads(out)["results"]
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this charcoords."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_closed_stdout_exits_as_sigpipe():
     # a reader that stops early (``| head -c 20``) is not a usage error
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "charcoords.cli", "chars", "3000", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(20).startswith(b"{")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    ) as proc:  # closes both pipes on exit
+        assert proc.stdout.read(20).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
 
 
@@ -358,7 +362,8 @@ def test_usage_error_exits_nonzero():
 
 @pytest.mark.parametrize(
     "exc",
-    [TruncationError("truncation exceeded"), FieldMembershipError("not in the subfield")],
+    [TruncationError("truncation exceeded"), FieldMembershipError("not in the subfield"),
+     InternalError("a coefficient does not fit")],
 )
 def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def broken(chi, a):
@@ -370,6 +375,62 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert out == ""
     assert err == "internal error: %s\n" % exc
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", [
+    lambda bound: bound.bit_length() // 8,  # one byte short: none at all below 2^8
+    lambda bound: max(bound.bit_length() // 8, 1),  # one byte short, at least one
+], ids=["one_byte_short", "one_byte_short_at_least_one"])
+def test_lane_overflow_is_an_internal_error(capsys, monkeypatch, width):
+    # lane values wider than their proven width are a bug in the program, not bad
+    # input: one "internal error" line and exit 3, no traceback and no usage error
+    clear_memos()
+    monkeypatch.setattr(coordinates, "_lane_width", width)
+    try:
+        code, out, err = run_cli(capsys, "verify", "power_closed_form", "--format", "json")
+    finally:
+        clear_memos()
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_cli_imports_no_suite_module():
+    # the commands that run no suite load neither verify nor series nor dataclasses,
+    # and the package still resolves every public name
+    code = """if True:
+        import sys
+        import charcoords.cli
+        charcoords.cli.build_parser()
+        print(sorted(m for m in ("charcoords.verify", "charcoords.series", "dataclasses")
+                     if m in sys.modules))
+        import charcoords as cc
+        names = cc.__all__
+        assert all(getattr(cc, name) is not None for name in names)
+        assert set(names) <= set(dir(cc)), set(names) - set(dir(cc))
+        assert cc.TruncationError is cc.series.TruncationError
+        assert cc.SuiteConfig is cc.verify.SuiteConfig
+        namespace = {}
+        exec("from charcoords import *", namespace)
+        assert set(names) <= set(namespace), set(names) - set(namespace)
+        print(sorted(m for m in ("charcoords.verify", "charcoords.series") if m in sys.modules))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n['charcoords.series', 'charcoords.verify']\n"
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    ("verify coeff_bridge --set bridge_r_max=4", "coeff_bridge "),
+    ("coeffs check 4", "coeff_bridge: 6 cases, 0 failures"),
+    ("series verify --kmax 2 --rmax 2", "series_oracle: 4 cases, 0 failures"),
+])
+def test_suite_commands_run_in_a_fresh_process(argv, first_line):
+    # the commands that import verify on demand
+    proc = subprocess.run([sys.executable, "-m", "charcoords.cli", *argv.split()],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(first_line)
 
 
 def test_cot_deep_power(capsys):

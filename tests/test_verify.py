@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import sys
 from fractions import Fraction
 
@@ -8,8 +10,11 @@ from charcoords import bernoulli, characters, combinatorics, coordinates, cotang
 from charcoords import cli, cyclotomic, series, verify
 from charcoords.cyclotomic import CycElem
 from charcoords.memo import clear_memos
+from charcoords.series import LaurentSeries
 from charcoords.verify import (
+    CaseFailure,
     SuiteConfig,
+    SuiteResult,
     config_with_overrides,
     run_suites,
 )
@@ -241,6 +246,64 @@ def test_float_crosscheck_records_the_literal_two_factor_errors():
         for r in range(1, 4)
     )
     assert len(result.failures) == nonzero > 0
+
+
+_DEFAULT_CONFIG_REPR = (
+    "SuiteConfig(n_max=30, r_max=6, j_max=6, float_tolerance=1e-08, suites=("
+    "'power_closed_form', 'cotnum_closed_form', 'coeff_bridge', 'primitive_closed_form', "
+    "'float_crosscheck', 'reconstruction', 'series_oracle'), bridge_r_max=20, "
+    "eq_primitive_n_max=23, eq_primitive_r_max=5, eq_primitive_extra_moduli=(4,), "
+    "float_n_max=50, float_r_max=4, recon_n_max=20, recon_r_max=4, recon_j_max=4, "
+    "decomposition_r_max=12, stirling_k_max=10, d_oracle_r_max=10, d_series_r_max=8)"
+)
+
+
+@pytest.mark.parametrize("make_a, make_b, other, text, hashable", [
+    (lambda: CycElem(5, [1, Fraction(1, 2), 0, -3]),
+     lambda: CycElem.from_polynomial(5, [1, Fraction(1, 2), 0, -3, 0]),
+     CycElem.zeta(5), "CycElem(order=5, coeffs=(1, 1/2, 0, -3))", True),
+    (lambda: LaurentSeries.from_terms(-1, [1, Fraction(1, 2)]),
+     lambda: LaurentSeries(-2, ["0", "2/2", "1/2"], 1),
+     LaurentSeries.from_terms(-1, [1, 0]), "LaurentSeries({t^-1: 1, t^0: 1/2}, O(t^1))", True),
+    (SuiteConfig, lambda: config_with_overrides(n_max="30"), SuiteConfig(n_max=5),
+     _DEFAULT_CONFIG_REPR, True),
+    (lambda: SuiteResult("s", 4), lambda: SuiteResult("s", 4, (), 0.0), SuiteResult("s", 5),
+     "SuiteResult(name='s', cases=4, failures=(), seconds=0.0)", True),
+    (lambda: CaseFailure("s", {"n": 3}, "1", "2"), lambda: CaseFailure("s", {"n": 3}, "1", "2"),
+     CaseFailure("s", {"n": 3}, "1", "3"), "CaseFailure(suite='s', inputs={'n': 3}, lhs='1', rhs='2')",
+     False),  # its inputs are a dict
+], ids=["CycElem", "LaurentSeries", "SuiteConfig", "SuiteResult", "CaseFailure"])
+def test_value_types_are_immutable_values(make_a, make_b, other, text, hashable):
+    a, b = make_a(), make_b()
+    assert a == b and a is not b and not a != b
+    assert a != other and not a == other
+    assert repr(a) == repr(b) == text
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for name in (*getattr(type(a), "_fields", ()), *getattr(type(a), "__slots__", ()), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == text  # the refused changes left no trace
+    round_trips = [copy.copy, copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for round_trip in round_trips:
+        c = round_trip(a)
+        assert type(c) is type(a) and c == a and repr(c) == text
+
+
+def test_suite_results_hold_their_failures_in_a_tuple():
+    failure = CaseFailure("s", {"n": 3}, "1", "2")
+    result = SuiteResult("s", 4, (failure,), 0.5)
+    assert not result.passed and result.failures == (failure,)
+    assert result.to_json_dict()["failures"] == [failure.to_json_dict()]
+    assert type(run_suites(config_with_overrides(MINI, suites=("coeff_bridge",)))[0].failures) is tuple
 
 
 def test_result_json_shape():
