@@ -36,7 +36,6 @@ from .coordinates import (
     coord_one,
     coord_power_closed,
     coord_power_primitive,
-    coords_definitional,
     coords_definitional_many,
     direct_sum_float,
     reconstruct,
@@ -107,7 +106,6 @@ __all__ = [
     "coord_one",
     "coord_power_closed",
     "coord_power_primitive",
-    "coords_definitional",
     "coords_definitional_many",
     "direct_sum_float",
     "reconstruct",

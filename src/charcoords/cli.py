@@ -6,9 +6,9 @@ version}; rationals always serialize as strings like "p/q", never floats.
 Text output is for humans and carries no stability guarantee.  This
 module alone builds the output rows (the coord row and the coeffs CSV
 rows).  coord reads coordinates.METHODS, the one list of methods (a new
-method is one entry; only def has a batched --all-chars path, one defining
-sum per Galois orbit).  series verify and coeffs check run a verify suite
-and print "<suite>: N cases, F failures" plus one mismatch line per failure.
+method is one entry; --all-chars computes one value per Galois orbit).
+series verify and coeffs check run a verify suite and print "<suite>: N
+cases, F failures" plus one mismatch line per failure.
 
 The verify subcommand takes its configuration from its argv alone: the
 range flags and --set key=value, which reaches every SuiteConfig field.
@@ -160,8 +160,7 @@ def _cmd_coord(args) -> int:
     if method.degree == "j" and (args.j is None or args.r is not None):
         raise ValueError("--method %s needs --j and no r" % args.method)
     degree = args.r if method.degree == "r" else args.j
-    batched = args.all_chars and method.every is not None  # one pass for every character
-    ys = (method.every(args.n, degree) if batched
+    ys = (method.coords(args.n, degree) if args.all_chars  # one value per Galois orbit
           else {chi: method.one(chi, degree) for chi in targets})
     rows = [_coord_row(chi, degree, method.name, ys[chi]) for chi in targets]
     inputs = {"n": args.n, "char_index": args.char_index, "r": args.r, "j": args.j,

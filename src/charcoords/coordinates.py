@@ -12,20 +12,19 @@ in the field of values Q(zeta_m), m = order of chi.
 This module computes y(chi|a) three independent ways:
 
 * :func:`coord_definitional` evaluates the defining sum exactly, and
-  :func:`coords_definitional` gives every character's coordinate from
-  one defining sum per Galois orbit (below), which
-  :func:`coords_definitional_many` runs for many elements at once in
-  element lanes (below);
+  :func:`coords_definitional_many` every character's coordinate of many
+  elements, one sum per Galois orbit in element lanes (below);
 * :func:`coord_cotangent_closed` and :func:`coord_power_closed` use the
   closed forms through generalized Bernoulli numbers and Euler factors,
   summed in integer buckets (below);
 * :func:`coord_power_primitive` uses the Bernoulli-convolution form that
   is valid for primitive characters,
 
-each one entry of :data:`METHODS`, plus :func:`reconstruct` (recover a
-from all its coordinates) and :func:`direct_sum_float`, a floating-point
-evaluation of the raw character sum used only to cross-check
-``complex_eval``, never to adjudicate exact results.
+each one entry of :data:`METHODS` (Method.coords: every character, one
+value per Galois orbit), plus :func:`reconstruct` (recover a from all its
+coordinates) and :func:`direct_sum_float`, a floating-point evaluation of
+the raw character sum used only to cross-check ``complex_eval``, never to
+adjudicate exact results.
 
 Cross-field arithmetic always goes through explicit embeddings into
 Q(zeta_L) with L = lcm(n, m).  coord_definitional and reconstruct share
@@ -56,9 +55,13 @@ factor chi^s(u) cancels, so
 galois_s being zeta_m -> zeta_m^s on Q(zeta_m).  This uses only the
 definitions.  The chi^s, s a unit mod m, are the generators of the cyclic
 group chi generates, so these orbits partition the characters mod n and
-one defining sum per orbit gives every coordinate; t = 1 mod n (u = 1),
-possible when s = 1 mod gcd(n, m), is the special case in which sigma_t
-fixes a outright.  The orbits of each n are tabulated once.
+one defining sum per orbit gives every coordinate.
+
+The closed forms obey the same law term by term: chi^s keeps the parity
+and conductor, (chi^s)_f = (chi_f)^s, and galois_s fixes the rationals and
+sends conj(chi_f)(p) and B_(j, chi_f) to their values at chi_f^s.  So
+_orbit_walk serves every method; the verify suites, being the check,
+still compute each member's closed form on its own.
 
 Element lanes.  The defining sum, the Gauss-sum product and the projection
 are Z-linear in the numerators of a and run unchanged on any ints, so the
@@ -150,9 +153,8 @@ def _definitional_lanes(chi: DirichletCharacter, elements: Sequence[CycElem]) ->
     independently over every conductor in range.  The result is verified
     to lie in Q(zeta_m) and returned there.
 
-    The numerators of all elements share one pass (module docstring): lane
-    t of each packed coefficient holds element t, at a width from the
-    proven bound; a single element is its own packed value.
+    All the elements share one pass, element t in lane t of each packed
+    coefficient (module docstring); one element is its own packed value.
     """
     n = chi.modulus
     if n < 2:
@@ -210,30 +212,22 @@ def _galois_orbits(n: int) -> tuple[tuple[DirichletCharacter, tuple], ...]:
     return tuple(orbits)
 
 
+def _orbit_walk(n: int, values: Callable) -> list[dict[DirichletCharacter, CycElem]]:
+    """One dict per lane t over every character mod n: values(chi)[t] at each
+    Galois orbit's first character chi, its galois_s at chi^s (module docstring)."""
+    walk = [(members, values(chi)) for chi, members in _galois_orbits(n)]
+    return [{psi: ys[t].galois(s) for members, ys in walk for s, psi in members}
+            for t in range(len(walk[0][1]))]
+
+
 def coords_definitional_many(
     n: int, elements: Sequence[CycElem]
 ) -> list[dict[DirichletCharacter, CycElem]]:
-    """For each a in elements, y(chi|a) for every character chi mod n, by
-    the defining sum once per Galois orbit for all the elements at once
-    (see the module docstring): a character chi of order m gives its
-    coordinate to every chi^s, s a unit mod m, as
-    y(chi^s|a) = galois_s(y(chi|a)).  The orbits are tabulated once per n.
-    """
+    """For each a in elements, y(chi|a) for every character chi mod n: one
+    defining sum per Galois orbit for all the elements at once, in element
+    lanes (module docstring)."""
     elements = tuple(elements)
-    out: list[dict[DirichletCharacter, CycElem]] = [{} for _ in elements]
-    if not elements:
-        return out
-    for chi, members in _galois_orbits(n):
-        for ys, y in zip(out, _definitional_lanes(chi, elements)):
-            for s, psi in members:
-                ys[psi] = y.galois(s)
-    return out
-
-
-def coords_definitional(n: int, a: CycElem) -> dict[DirichletCharacter, CycElem]:
-    """y(chi|a) for every character chi mod n: the one-element call of
-    coords_definitional_many."""
-    return coords_definitional_many(n, (a,))[0]
+    return _orbit_walk(n, lambda chi: _definitional_lanes(chi, elements)) if elements else []
 
 
 def coord_one(chi: DirichletCharacter) -> CycElem:
@@ -253,16 +247,16 @@ def _euler_divisors(
     at once, expanded as in the module docstring.
 
     Built one prime at a time: p is dropped when conj(chi_f)(p) is zero
-    (p divides the conductor, and its factor is 1); otherwise every d so
+    (p divides the conductor: no exponent, factor 1); otherwise every d so
     far gives d and d*p, with mu negated and e(p) added.
     """
     m = chi_f.order
     chibar_f = chi_f.conjugate()
     R, divs = 1, [(1, 1, 0)]
     for p in sorted(prime_factors(n)):
-        if chibar_f.eval(p).is_zero:
-            continue
         e = chibar_f.value_exponent(p)
+        if e is None:
+            continue
         divs += [(d * p, -mu, (t + e) % m) for d, mu, t in divs]
         R *= p
     return R, tuple(divs)
@@ -346,27 +340,29 @@ def coord_power_primitive(chi: DirichletCharacter, r: int) -> CycElem:
 
 class Method(NamedTuple):
     """A way to compute y(chi | element(d, n)): the name coord rows report,
-    its coord -h summary, the degree ("r": (i cot(pi/n))^r, "j": the
-    cotangent number), one(chi, d), every(n, d) for every chi mod n where
-    batched, and whether only characters of conductor n count."""
+    its coord -h summary, the degree ("r": (i cot(pi/n))^r, "j": the cotangent
+    number), one(chi, d), and whether only primitive characters count."""
 
     name: str
     summary: str
     degree: str
     one: Callable
-    every: Optional[Callable] = None
     primitive: bool = False
 
     def element(self, d: int, n: int) -> CycElem:
         return (icot_power if self.degree == "r" else cotangent_number)(d, n)
+
+    def coords(self, n: int, d: int) -> dict[DirichletCharacter, CycElem]:
+        """y(chi | element(d, n)) for every chi mod n, from one call of
+        self.one per Galois orbit (module docstring)."""
+        return _orbit_walk(n, lambda chi: (self.one(chi, d),))[0]
 
 
 # The methods by their CLI names.  The lambdas look their callees up here at
 # call time, so rebinding coordinates.<name> reaches every call.
 METHODS: dict[str, Method] = {
     "def": Method("definitional", "definitional sum", "r",
-                  lambda chi, r: coord_definitional(chi, icot_power(r, chi.modulus)),
-                  lambda n, r: coords_definitional(n, icot_power(r, n))),
+                  lambda chi, r: coord_definitional(chi, icot_power(r, chi.modulus))),
     "closed": Method("power_closed", "general closed form", "r",
                      lambda chi, r: coord_power_closed(chi, r)),
     "prim": Method("primitive_closed", "primitive-character closed form", "r",

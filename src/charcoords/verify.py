@@ -231,7 +231,7 @@ def suite_float_crosscheck(config: SuiteConfig):
     a dict local to the run and shared by every modulus and r, and
     direct_sum_float reads its cotangent and root-of-unity doubles from
     per-n and per-m tables, so every value is the one the per-case
-    computation gives.
+    computation gives.  A case past the double range raises ValueError.
     """
     tol = config.float_tolerance
     tau_of = {}  # chi_f -> tau(chi_f) as a double
@@ -247,9 +247,15 @@ def suite_float_crosscheck(config: SuiteConfig):
         coords = coords_definitional_many(n, [icot_power(r, n) for r in powers])
         for r, ys in zip(powers, coords):
             for idx, chi in enumerate(chars):
-                left = direct_sum_float(chi, r, values=values[idx])
-                right = ys[conjugates[idx]].complex_eval() * tau_of[parts[idx]]
-                err = abs(left - right)
+                try:
+                    left = direct_sum_float(chi, r, values=values[idx])
+                    right = ys[conjugates[idx]].complex_eval() * tau_of[parts[idx]]
+                    err = abs(left - right)
+                except OverflowError:
+                    err = math.nan
+                if not math.isfinite(err):  # inf or nan: a double overflowed
+                    raise ValueError("float_crosscheck at n = %d, r = %d leaves the double range;"
+                                     " lower float_r_max or float_n_max" % (n, r))
                 inputs = {"n": n, "char_index": idx, "r": r, "abs_error": err}
                 yield inputs, left, right, err < tol
 

@@ -89,7 +89,9 @@ def test_coord_all_chars(capsys):
 @pytest.mark.parametrize("n, r", [(12, 2), (47, 5), (60, 3)])
 def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypatch, n, r):
     # the rows are those of the single-character requests, in enumeration
-    # order, from one defining sum per Galois orbit of characters mod n
+    # order, from one defining sum per Galois orbit of characters mod n; the
+    # walk goes through the coord_definitional memo, so it starts cold
+    clear_memos()
     lanes = []
 
     def counted(chi, elements):
@@ -113,7 +115,7 @@ def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypa
 @pytest.mark.parametrize("method, degree", [("closed", ["3"]), ("cotnum", ["--j", "3"])])
 @pytest.mark.parametrize("n", [12, 47])
 def test_coord_all_chars_rows_are_the_single_character_rows(capsys, method, degree, n):
-    # a method without a batched path takes the characters one at a time
+    # the orbit walk's galois images are the values each character's own closed form gives
     code, out, _ = run_cli(capsys, "coord", str(n), *degree, "--all-chars", "--method", method,
                            "--format", "json")
     assert code == 0
@@ -124,6 +126,28 @@ def test_coord_all_chars_rows_are_the_single_character_rows(capsys, method, degr
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["results"] == [row]
+
+
+@pytest.mark.parametrize("method, degree, closed", [
+    ("closed", ["4"], "coord_power_closed"),
+    ("cotnum", ["--j", "3"], "coord_cotangent_closed"),
+])
+@pytest.mark.parametrize("n", [12, 47, 60])
+def test_coord_all_chars_makes_one_closed_form_call_per_galois_orbit(
+        capsys, monkeypatch, method, degree, closed, n):
+    calls = []
+
+    def counted(chi, d):
+        calls.append(chi)
+        return kernel(chi, d)
+
+    kernel = getattr(coordinates, closed)
+    monkeypatch.setattr(coordinates, closed, counted)
+    code, out, _ = run_cli(capsys, "coord", str(n), *degree, "--all-chars", "--method", method,
+                           "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["results"]) == euler_phi(n)
+    assert calls == [chi for chi, _ in coordinates._galois_orbits(n)]
 
 
 def test_coord_method_choices_are_the_table():
@@ -575,6 +599,17 @@ def test_verify_config_errors_name_the_key(capsys, key, value):
     assert out == ""
     assert err.startswith("error: ")
     assert key in err
+
+
+def test_float_crosscheck_past_the_double_range_is_a_usage_error(capsys):
+    # (i cot(pi/6))^r passes the double range near r = 1291: the suite stops there with
+    # one error line naming the ranges, and no case passes or fails
+    code, out, err = run_cli(capsys, "verify", "float_crosscheck",
+                             "--set", "float_n_max=6", "--set", "float_r_max=1300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float_r_max" in err and "float_n_max" in err
 
 
 def _without_seconds(report: str) -> str:

@@ -19,7 +19,6 @@ from charcoords.coordinates import (
     coord_one,
     coord_power_closed,
     coord_power_primitive,
-    coords_definitional,
     coords_definitional_many,
     direct_sum_float,
     reconstruct,
@@ -174,6 +173,22 @@ def test_euler_terms_match_the_literal_product():
                 assert CycElem._from_ints(m, buckets, R**j) == literal, (n, chi.index, j)
 
 
+def test_closed_forms_are_galois_equivariant():
+    """The fact the all-character orbit walk rests on, for the closed forms:
+    y(chi^s | .) = galois_s(y(chi | .)) for every member chi^s of every
+    Galois orbit mod n <= 60, (i cot)^d and the cotangent number for d <= 8,
+    each member's closed form computed on its own."""
+    for n in range(2, 61):
+        for chi, members in coordinates._galois_orbits(n):
+            for d in range(1, 9):
+                power = coord_power_closed(chi, d)
+                cotnum = coord_cotangent_closed.__wrapped__(chi, d)
+                for s, psi in members:
+                    assert coord_power_closed(psi, d) == power.galois(s), (n, psi.index, d)
+                    assert coord_cotangent_closed.__wrapped__(psi, d) == cotnum.galois(s), (
+                        n, psi.index, d)
+
+
 def test_reconstruct_round_trip():
     for n in (4, 5, 12):
         chars = enumerate_characters(n)
@@ -186,7 +201,7 @@ def test_reconstruct_round_trip():
 
 
 def test_orbit_coordinates_match_definitional():
-    """coords_definitional, one defining sum per Galois orbit and
+    """coords_definitional_many, one defining sum per Galois orbit and
     galois_s for the other members, equals the per-character defining sum
     for every character mod n <= 64, on (i cot)^3, a cotangent number and
     a seeded dense element with denominators."""
@@ -195,7 +210,7 @@ def test_orbit_coordinates_match_definitional():
         chars = enumerate_characters(n)
         dense = CycElem(n, [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(euler_phi(n))])
         for a in (icot_power(3, n), cotangent_number(4, n), dense):
-            ys = coords_definitional(n, a)
+            ys = coords_definitional_many(n, [a])[0]
             assert set(ys) == set(chars)
             for chi in chars:
                 assert ys[chi] == coord_definitional.__wrapped__(chi, a), (n, chi.index)
@@ -223,7 +238,7 @@ def test_lanes_match_the_one_element_defining_sum():
     """For every n <= 64, on batches of 1 to 13 elements: the lane-packed
     defining sum of each orbit's first character equals the one-element
     defining sum of every element, and coords_definitional_many gives each
-    element's coordinates for every character as coords_definitional does."""
+    element's coordinates for every character as its one-element call does."""
     rng = random.Random(20251019)
     for n in range(2, 65):
         batch = _lane_batch(rng, n, 1 + n % 13)
@@ -231,7 +246,8 @@ def test_lanes_match_the_one_element_defining_sum():
             lanes = _definitional_lanes(chi, batch)
             for t, a in enumerate(batch):
                 assert lanes[t] == coord_definitional.__wrapped__(chi, a), (n, chi.index, t)
-        assert coords_definitional_many(n, batch) == [coords_definitional(n, a) for a in batch]
+        assert coords_definitional_many(n, batch) == [coords_definitional_many(n, [a])[0]
+                                                       for a in batch]
     assert coords_definitional_many(7, []) == []
 
 

@@ -316,7 +316,8 @@ def test_result_json_shape():
 
 
 # every public operation of the computational modules, by defining code object;
-# for the defining sum, the lane kernel the suites run in coord_definitional's place
+# for the defining sum, the lane kernel the suites run in coord_definitional's place,
+# and for a character value, the exponent the paths read in place of its CycElem (eval)
 _COVERED_OPS = [
     cyclotomic.cyclotomic_polynomial,
     CycElem.__add__,
@@ -329,7 +330,7 @@ _COVERED_OPS = [
     CycElem.conjugate,
     CycElem.complex_eval,
     characters.enumerate_characters,
-    characters.DirichletCharacter.eval,
+    characters.DirichletCharacter.value_exponent,
     characters.DirichletCharacter.parity,
     characters.DirichletCharacter.conductor,
     characters.DirichletCharacter.primitive_part,
