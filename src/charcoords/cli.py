@@ -7,8 +7,8 @@ Text output is for humans and carries no stability guarantee.  This
 module alone builds the output rows (the coord row and the coeffs CSV
 rows).  coord reads coordinates.METHODS, the one list of methods (a new
 method is one entry; --all-chars computes one value per Galois orbit).
-series verify and coeffs check run a verify suite and print "<suite>: N
-cases, F failures" plus one mismatch line per failure.
+coeffs check and series verify are presets of verify: one suite, the same
+config checks, the same report and exit code.
 
 The verify subcommand takes its configuration from its argv alone: the
 range flags and --set key=value, which reaches every SuiteConfig field.
@@ -98,6 +98,12 @@ def _cyc_text(value: CycElem) -> str:
     )
 
 
+def _character(chars, index: int):
+    if not 0 <= index < len(chars):
+        raise ValueError("character index out of range (0..%d)" % (len(chars) - 1))
+    return chars[index]
+
+
 # -- chars -------------------------------------------------------------------
 
 def _cmd_chars(args) -> int:
@@ -152,9 +158,7 @@ def _cmd_coord(args) -> int:
     else:
         if args.char_index is None:
             raise ValueError("give a character index or --all-chars")
-        if not 0 <= args.char_index < len(chars):
-            raise ValueError("character index out of range (0..%d)" % (len(chars) - 1))
-        targets = [chars[args.char_index]]
+        targets = [_character(chars, args.char_index)]
     if method.degree == "r" and (args.r is None or args.j is not None):
         raise ValueError("method %r needs the positional r and no --j" % args.method)
     if method.degree == "j" and (args.j is None or args.r is not None):
@@ -173,21 +177,9 @@ def _cmd_coord(args) -> int:
 
 # -- coeffs ------------------------------------------------------------------
 
-def _run_suite(**config) -> int:
-    """Run the one suite of SuiteConfig(**config): print "<suite>: N cases,
-    F failures" and the inputs of at most 20 mismatches; exit code 0 or 1."""
-    from .verify import SuiteConfig, run_suites
-
-    (result,) = run_suites(SuiteConfig(**config))
-    print("%s: %d cases, %d failures" % (result.name, result.cases, len(result.failures)))
-    for failure in result.failures[:20]:
-        print("mismatch %s" % failure.inputs)
-    return 0 if result.passed else 1
-
-
 def _cmd_coeffs(args) -> int:
     if args.kind == "check":
-        return _run_suite(suites=("coeff_bridge",), bridge_r_max=args.r)
+        return _verify(args, {"suites": ("coeff_bridge",), "bridge_r_max": args.r})
     if args.r < 1:
         raise ValueError("coefficient tables need r >= 1")
     coeff = cot_power_coeff if args.kind == "c" else bernoulli_conv_coeff
@@ -222,10 +214,7 @@ def _cmd_bernoulli(args) -> int:
         lines = ["B_%d = %s" % (args.r, value.coeff_strings()[0])]
     else:
         n, index = args.char
-        chars = enumerate_characters(n)
-        if not 0 <= index < len(chars):
-            raise ValueError("character index out of range (0..%d)" % (len(chars) - 1))
-        chi = chars[index].primitive_part()
+        chi = _character(enumerate_characters(n), index).primitive_part()
         value = generalized_bernoulli(args.r, chi)
         inputs = {"r": args.r, "char": [n, index], "conductor": chi.modulus}
         lines = (
@@ -247,17 +236,15 @@ def _cmd_series(args) -> int:
         raise ValueError("--kmax must be >= 1, got %d" % args.kmax)
     if decomposition and args.rmax < 1:
         raise ValueError("--rmax must be >= 1, got %d" % args.rmax)
-    return _run_suite(
-        suites=("series_oracle",), d_oracle_r_max=0, d_series_r_max=0,
-        stirling_k_max=args.kmax if stirling else 0,
-        decomposition_r_max=args.rmax if decomposition else 0)
+    return _verify(args, {
+        "suites": ("series_oracle",), "d_oracle_r_max": 0, "d_series_r_max": 0,
+        "stirling_k_max": args.kmax if stirling else 0,
+        "decomposition_r_max": args.rmax if decomposition else 0})
 
 
 # -- verify ---------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    from .verify import config_with_overrides, run_suites
-
     # each range flag's dest is the SuiteConfig field it sets
     flags = ("n_max", "r_max", "j_max", "float_tolerance")
     overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
@@ -268,14 +255,23 @@ def _cmd_verify(args) -> int:
         overrides[key.strip()] = value.strip()
     if args.suites:
         overrides["suites"] = tuple(args.suites)
+    return _verify(args, overrides)
+
+
+def _verify(args, overrides: dict) -> int:
+    """Run the suites of config_with_overrides(**overrides) and print the
+    one suite report, as text or as JSON; exit code 0 or 1.  The config echo
+    names each suite that ran, once, in run order."""
+    from .verify import config_with_overrides, run_suites
+
     cfg = config_with_overrides(**overrides)
     results = run_suites(cfg)
     total_failures = sum(len(r.failures) for r in results)
-    if args.format == "json":
+    if getattr(args, "format", "text") == "json":
         report = {
-            "config": {f: getattr(cfg, f) for f in (
-                "n_max", "r_max", "j_max", "float_tolerance", "suites",
-            )},
+            "config": {"n_max": cfg.n_max, "r_max": cfg.r_max, "j_max": cfg.j_max,
+                       "float_tolerance": cfg.float_tolerance,
+                       "suites": [r.name for r in results]},
             "suites": [r.to_json_dict() for r in results],
             "passed": total_failures == 0,
             "version": __version__,

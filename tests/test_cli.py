@@ -29,6 +29,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _masked(report: str) -> str:
+    """The text report of the suite commands without its seconds column, the
+    only part of it that changes from run to run."""
+    return re.sub(r"cases +\d+\.\d+s", "cases", report)
+
+
+def _run_masked(capsys, argv: str):
+    code, out, err = run_cli(capsys, *argv.split())
+    return code, _masked(out), err
+
+
+def _report(out: str) -> list:
+    """The masked text report, each line split into words."""
+    return [line.split() for line in _masked(out).splitlines()]
+
+
 def test_chars_text(capsys):
     code, out, _ = run_cli(capsys, "chars", "4")
     assert code == 0
@@ -286,7 +302,7 @@ def test_coeffs_csv(capsys):
 def test_coeffs_check(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "check", "12")
     assert code == 0
-    assert "0 failures" in out
+    assert _report(out) == [["coeff_bridge", "42", "cases", "ok"], ["total", "failures:", "0"]]
 
 
 def test_cot_commands(capsys):
@@ -316,7 +332,33 @@ def test_bernoulli_command(capsys):
 def test_series_verify(capsys):
     code, out, _ = run_cli(capsys, "series", "verify", "--rmax", "4", "--kmax", "4")
     assert code == 0
-    assert out == "series_oracle: 8 cases, 0 failures\n"
+    assert _report(out) == [["series_oracle", "8", "cases", "ok"], ["total", "failures:", "0"]]
+
+
+def test_series_verify_defaults_are_the_suite_defaults():
+    # the parser keeps literals (it must not import verify), so pin them to SuiteConfig's
+    args = cli.build_parser().parse_args(["series", "verify"])
+    defaults = verify.SuiteConfig()
+    assert (args.rmax, args.kmax) == (defaults.decomposition_r_max, defaults.stirling_k_max)
+
+
+_SERIES_ORACLE = "verify series_oracle --set d_oracle_r_max=0 --set d_series_r_max=0"
+_VERIFY_SPELLINGS = {
+    "coeffs check 12": "verify coeff_bridge --set bridge_r_max=12",
+    "series verify --rmax 4 --kmax 4":
+        _SERIES_ORACLE + " --set stirling_k_max=4 --set decomposition_r_max=4",
+    "series verify --decomposition --rmax 3":
+        _SERIES_ORACLE + " --set stirling_k_max=0 --set decomposition_r_max=3",
+    "series verify --stirling --kmax 1 --rmax 0":
+        _SERIES_ORACLE + " --set stirling_k_max=1 --set decomposition_r_max=0",
+}
+
+
+@pytest.mark.parametrize("checker", list(_VERIFY_SPELLINGS))
+def test_checkers_print_what_their_verify_spelling_prints(capsys, checker):
+    result = _run_masked(capsys, checker)
+    assert result[0] == 0 and result[2] == ""
+    assert _run_masked(capsys, _VERIFY_SPELLINGS[checker]) == result
 
 
 def test_series_verify_reports_a_planted_fault(capsys, monkeypatch):
@@ -326,13 +368,15 @@ def test_series_verify_reports_a_planted_fault(capsys, monkeypatch):
 
     coeff = series.cot_power_coeff
     monkeypatch.setattr(series, "cot_power_coeff", planted)
-    code, out, _ = run_cli(capsys, "series", "verify", "--decomposition", "--rmax", "3")
-    assert code == 1
-    summary, *mismatches = out.splitlines()
-    assert summary == "series_oracle: 3 cases, 1 failures"
-    assert mismatches == [
-        "mismatch {'identity': 'power_decomposition', 'r': 2, 'order': 8}"
-    ]
+    checker = "series verify --decomposition --rmax 3"
+    code, out, err = _run_masked(capsys, checker)
+    assert (code, err) == (1, "")
+    summary, mismatch, total = out.splitlines()
+    assert summary.split() == ["series_oracle", "3", "cases", "FAIL", "(1)"]
+    assert mismatch == (
+        "  mismatch {'identity': 'power_decomposition', 'r': 2, 'order': 8}: False != True")
+    assert total == "total failures: 1"
+    assert _run_masked(capsys, _VERIFY_SPELLINGS[checker]) == (code, out, err)
 
 
 def test_verify_command(capsys):
@@ -341,6 +385,19 @@ def test_verify_command(capsys):
     )
     assert code == 0
     assert "total failures: 0" in out
+
+
+def test_verify_json_echoes_the_suites_that_ran(capsys):
+    # each suite once, in run order, whatever order and repeats argv names them in
+    code, out, _ = run_cli(capsys, "verify", "coeff_bridge", "float_crosscheck",
+                           "power_closed_form", "coeff_bridge", "--n-max", "4", "--r-max", "1",
+                           "--set", "float_n_max=4", "--set", "float_r_max=1",
+                           "--set", "bridge_r_max=2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    ran = [suite["name"] for suite in data["suites"]]
+    assert ran == ["power_closed_form", "coeff_bridge", "float_crosscheck"]
+    assert data["config"]["suites"] == ran
 
 
 def test_verify_json(capsys):
@@ -444,17 +501,18 @@ def test_cli_imports_no_suite_module():
     assert proc.stdout == "[]\n['charcoords.series', 'charcoords.verify']\n"
 
 
-@pytest.mark.parametrize("argv, first_line", [
-    ("verify coeff_bridge --set bridge_r_max=4", "coeff_bridge "),
-    ("coeffs check 4", "coeff_bridge: 6 cases, 0 failures"),
-    ("series verify --kmax 2 --rmax 2", "series_oracle: 4 cases, 0 failures"),
+@pytest.mark.parametrize("argv, suite, cases", [
+    ("verify coeff_bridge --set bridge_r_max=4", "coeff_bridge", 6),
+    ("coeffs check 4", "coeff_bridge", 6),
+    ("series verify --kmax 2 --rmax 2", "series_oracle", 4),
 ])
-def test_suite_commands_run_in_a_fresh_process(argv, first_line):
+def test_suite_commands_run_in_a_fresh_process(argv, suite, cases):
     # the commands that import verify on demand
     proc = subprocess.run([sys.executable, "-m", "charcoords.cli", *argv.split()],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith(first_line)
+    assert _report(proc.stdout) == [[suite, str(cases), "cases", "ok"],
+                                    ["total", "failures:", "0"]]
 
 
 def test_cot_deep_power(capsys):
@@ -677,10 +735,16 @@ def test_checkers_reject_empty_ranges(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_coeffs_check_refuses_a_negative_range_as_verify_does(capsys):
+    for argv in ("coeffs check -3", "verify coeff_bridge --set bridge_r_max=-3"):
+        assert run_cli(capsys, *argv.split()) == (
+            2, "", "error: bridge_r_max must not be negative, got -3\n")
+
+
 def test_unselected_identity_range_is_not_checked(capsys):
     code, out, _ = run_cli(capsys, "series", "verify", "--stirling", "--kmax", "1", "--rmax", "0")
     assert code == 0
-    assert out == "series_oracle: 1 cases, 0 failures\n"
+    assert _report(out) == [["series_oracle", "1", "cases", "ok"], ["total", "failures:", "0"]]
 
 
 # -- malformed argv ----------------------------------------------------------
