@@ -2,11 +2,14 @@
 the package's one polynomial product, of integer coefficient lists
 (_schoolbook_mul) cleared of denominators onto one (_scaled_ints), and its
 one square-and-multiply loop (_power), and the package's two internal-error
-types, which the CLI reports as internal errors (exit code 3)."""
+types, which the CLI reports as internal errors (exit code 3).  _Scaled is
+the one base of the exact values, CycElem and LaurentSeries: their fields,
+equality, hash, pickling and immutability."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +25,67 @@ class TruncationError(ValueError):
 
     Raised by :mod:`charcoords.series`, which re-exports it; defined here so
     that the CLI can catch it without importing that module."""
+
+
+class _Scaled:
+    """Base of the exact values CycElem and LaurentSeries: integer
+    numerators ``nums`` over one positive denominator ``den``, in lowest
+    terms, and the subclass's other fields, every field named in its
+    __slots__.  Its _set(*fields), in slot order, is its canonical step and
+    ends in _store.  Equal values then have equal fields: equality, the
+    hash and a pickle or copy go over the field tuple in slot order.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+        # _store calls the slots' own setters: object.__setattr__ takes twice as long
+        setter = {name: cls.__dict__[name].__set__ for name in cls.__slots__}
+        cls._setters = setter.pop("nums"), setter.pop("den"), tuple(setter.values())
+
+    @classmethod
+    def _from_ints(cls, *fields):
+        """The value of the given fields, in slot order, through _set."""
+        self = object.__new__(cls)
+        self._set(*fields)
+        return self
+
+    def _store(self, nums: Sequence[int], den: int, *rest) -> None:
+        """Store nums/den, for den > 0, in lowest terms, and rest, the other
+        fields in slot order."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        set_nums, set_den, set_rest = self._setters
+        set_nums(self, tuple(nums))
+        set_den(self, den)
+        for i, set_field in enumerate(set_rest):
+            set_field(self, rest[i])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients nums[i] / den."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return self._from_ints, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable: cannot set %r" % (type(self).__name__, name))
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable: cannot delete %r" % (type(self).__name__, name))
 
 
 def prime_factors(n: int) -> dict[int, int]:

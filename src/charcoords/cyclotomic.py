@@ -2,10 +2,9 @@
 
 An element is stored as the canonical residue of a polynomial in zeta_N
 modulo the N-th cyclotomic polynomial Phi_N: phi(N) integer numerators of
-1, zeta_N, ..., zeta_N^(phi(N)-1) over one positive denominator, in lowest
-terms; the rational coefficients are derived.  The residue is unique, so
-structural equality is equality of field elements.  All values are
-immutable and every operation is a pure function.
+1, zeta_N, ..., zeta_N^(phi(N)-1) over one denominator, a value of
+:class:`charcoords.arith._Scaled`.  The residue is unique, so equal fields
+are equal field elements.  Every operation is a pure function.
 
 Orders are never coerced silently: combining two CycElem values of
 different orders raises; use :func:`to_common_order` (which embeds both
@@ -66,7 +65,7 @@ from array import array
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import InternalError, _power, _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
+from .arith import InternalError, _Scaled, _power, _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
 from .memo import memo
 
 Scalar = Union[int, Fraction]
@@ -347,15 +346,9 @@ def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class CycElem:
-    """An element of Q(zeta_N) in canonical residue form.
-
-    The element is sum(nums[i] * zeta_N^i) / den with exactly phi(N) ints
-    ``nums`` and den > 0, gcd(den, *nums) = 1; ``coeffs`` derives the
-    rational coefficients.  Instances are immutable and hashable: equal
-    fields are equal elements, and assigning or deleting an attribute
-    raises AttributeError.  A pickle or copy rebuilds the element from
-    its three fields.
+class CycElem(_Scaled):
+    """An element of Q(zeta_N) in canonical residue form: sum(nums[i] *
+    zeta_N^i) / den with exactly phi(N) ints ``nums``, a value of _Scaled.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -371,43 +364,14 @@ class CycElem:
             )
         self._set(order, *_scaled_ints(coeffs))
 
-    def _set(self, order: int, ints: Sequence[int], den: int) -> None:
-        """Store ints/den, for den > 0, as a reduced residue in lowest terms."""
+    def _set(self, order: int, ints: Sequence[int], den: int = 1) -> None:
+        """Store sum(ints[i] * zeta_N^i) / den, for any length of ints and
+        den > 0, as a reduced residue."""
         if len(ints) != euler_phi(order):
             ints = _reduce_mod_phi(ints, order)
-        g = math.gcd(den, *ints)
-        if g != 1:
-            ints = [c // g for c in ints]
-            den //= g
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", tuple(ints))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycElem is immutable: cannot set %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("CycElem is immutable: cannot delete %r" % name)
-
-    def __reduce__(self):
-        return CycElem._from_ints, (self.order, self.nums, self.den)
-
-    def __eq__(self, other):
-        if other.__class__ is not CycElem:
-            return NotImplemented
-        return self.order == other.order and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.order, self.nums, self.den))
+        self._store(ints, den, order)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _from_ints(cls, order: int, ints: Sequence[int], den: int = 1) -> "CycElem":
-        """sum(ints[i] * zeta_N^i) / den for any length of ints, den > 0."""
-        self = object.__new__(cls)
-        self._set(order, ints, den)
-        return self
 
     @classmethod
     def from_polynomial(cls, order: int, coeffs: Iterable[Scalar]) -> "CycElem":
@@ -434,11 +398,6 @@ class CycElem:
         return cls.from_rational(1, order)
 
     # -- views and predicates ------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Rational coefficients of 1, zeta_N, ..., zeta_N^(phi(N)-1)."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def is_zero(self) -> bool:
@@ -555,9 +514,7 @@ class CycElem:
         return CycElem._from_ints(N, v, self.den)
 
     def conjugate(self) -> "CycElem":
-        """Complex conjugation; equals galois(N-1) for N >= 3."""
-        if self.order <= 2:
-            return self
+        """Complex conjugation: galois(N-1), which is the identity for N <= 2."""
         return self.galois(self.order - 1)
 
     def embed(self, M: int) -> "CycElem":

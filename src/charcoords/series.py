@@ -6,9 +6,11 @@ arithmetic: the expansion coefficients produced by
 :mod:`charcoords.combinatorics` are checked against truncated-series
 identities in the variable t, with every i-power carried as an explicit
 rational sign.  Nothing here imports :mod:`charcoords.cyclotomic` or the
-convolution recurrence.  A series is a list of integer numerators over one
-denominator, so a product is one integer product of the numerator lists
-and a sum one integer sum over the lcm of the two denominators.
+convolution recurrence.  A series is a tuple of integer numerators over one
+denominator, a value of :class:`charcoords.arith._Scaled` (lowest terms,
+equality of fields, immutability), so a product is one integer product of
+the numerator lists and a sum one integer sum over the lcm of the two
+denominators.
 
 A :class:`LaurentSeries` knows its coefficients for exponents
 ``low .. prec-1`` and refuses to answer beyond ``prec`` (raising
@@ -21,20 +23,16 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import TruncationError, _power, _scaled_ints, _schoolbook_mul
+from .arith import TruncationError, _Scaled, _power, _scaled_ints, _schoolbook_mul
 from .combinatorics import cot_power_coeff, stirling_first_unsigned
 
 
-class LaurentSeries:
+class LaurentSeries(_Scaled):
     """sum(nums[i] * t^(low+i)) / den, known for exponents low..prec-1 and
     unknown from prec onward.
 
-    The form is canonical: len(nums) == prec - low, den > 0,
-    gcd(den, *nums) == 1 and nums[0] != 0, and the zero series is
-    low = prec, nums = (), den = 1.  So equal series have equal fields;
-    ``coeffs`` derives the rational coefficients.  Instances are immutable
-    and hashable: assigning or deleting an attribute raises AttributeError,
-    and a pickle or copy rebuilds the series from its four fields.
+    A value of _Scaled, canonical when len(nums) == prec - low and
+    nums[0] != 0; the zero series is low = prec, nums = (), den = 1.
     """
 
     __slots__ = ("low", "nums", "den", "prec")
@@ -46,52 +44,15 @@ class LaurentSeries:
         self._set(low, *_scaled_ints(coeffs), prec)
 
     def _set(self, low: int, nums: Sequence[int], den: int, prec: int) -> None:
-        """Store nums/den, for den > 0 and low + len(nums) == prec, in
-        canonical form."""
+        """Store nums/den, for den > 0 and low + len(nums) == prec, without
+        its leading zero terms."""
         lead = next((i for i, c in enumerate(nums) if c), len(nums))
-        nums = nums[lead:]
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        object.__setattr__(self, "low", low + lead)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable: cannot set %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("LaurentSeries is immutable: cannot delete %r" % name)
-
-    def __reduce__(self):
-        return LaurentSeries._from_ints, (self.low, self.nums, self.den, self.prec)
-
-    def __eq__(self, other):
-        if other.__class__ is not LaurentSeries:
-            return NotImplemented
-        return (self.low == other.low and self.prec == other.prec and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.low, self.nums, self.den, self.prec))
-
-    @classmethod
-    def _from_ints(cls, low: int, nums: Sequence[int], den: int, prec: int) -> "LaurentSeries":
-        self = object.__new__(cls)
-        self._set(low, nums, den, prec)
-        return self
+        self._store(nums[lead:], den, low + lead, prec)
 
     @classmethod
     def from_terms(cls, low: int, coeffs) -> "LaurentSeries":
         coeffs = tuple(coeffs)
         return cls(low, coeffs, low + len(coeffs))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Rational coefficients of t^low, ..., t^(prec-1)."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def known_through(self) -> int:
@@ -207,12 +168,18 @@ class LaurentSeries:
 
     def agrees_through(self, other: "LaurentSeries", e_max: int) -> bool:
         """Exact coefficient agreement for all exponents <= e_max."""
+        return self._first_difference(other, e_max) is None
+
+    def _first_difference(self, other: "LaurentSeries", e_max: int):
+        """(e, self's coefficient of t^e, other's) for the first exponent
+        e <= e_max at which the two differ, or None if they agree."""
         if e_max >= self.prec or e_max >= other.prec:
             raise TruncationError("comparison window exceeds known precision")
-        start = min(self.low, other.low)
-        return all(
-            self.coefficient(e) == other.coefficient(e) for e in range(start, e_max + 1)
-        )
+        for e in range(min(self.low, other.low), e_max + 1):
+            a, b = self.coefficient(e), other.coefficient(e)
+            if a != b:
+                return e, a, b
+        return None
 
     def __repr__(self):
         inner = ", ".join(
@@ -258,12 +225,16 @@ def _cot_derivative_series(j: int, base: LaurentSeries) -> LaurentSeries:
 def verify_stirling_identity(k: int, M: int) -> bool:
     """Check 1/(1-e^t)^k = (1/(k-1)!) sum_j S(k, j) d^(j-1)/dt^(j-1) 1/(1-e^t)
     as Laurent series, exactly through t^M."""
+    return LaurentSeries.agrees_through(*_stirling_sides(k, M), M)
+
+
+def _stirling_sides(k: int, M: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """The two sides of the identity of verify_stirling_identity."""
     if k < 1:
         raise ValueError("need k >= 1")
     if M < k + 2:
         raise TruncationError("truncation order too small; need M >= k + 2")
     g = series_one_minus_exp_inv(M + k + 2)
-    lhs = g.power(k)
     rhs = LaurentSeries(M + 1, (), M + 1)  # zero with a generous horizon
     d = g
     for j in range(1, k + 1):
@@ -272,7 +243,7 @@ def verify_stirling_identity(k: int, M: int) -> bool:
             rhs = rhs + d * Fraction(s, math.factorial(k - 1))
         if j < k:
             d = d.derivative()
-    return lhs.agrees_through(rhs, M)
+    return g.power(k), rhs
 
 
 def verify_power_decomposition(r: int, M: int) -> bool:
@@ -283,19 +254,22 @@ def verify_power_decomposition(r: int, M: int) -> bool:
     :func:`charcoords.combinatorics.cot_power_coeff`, so this is an oracle
     for that module that never touches cyclotomic arithmetic.
     """
+    return LaurentSeries.agrees_through(*_decomposition_sides(r, M), M)
+
+
+def _decomposition_sides(r: int, M: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """The two sides of the identity of verify_power_decomposition."""
     if r < 1:
         raise ValueError("need r >= 1")
     if M < r + 3:
         raise TruncationError("truncation order too small; need M >= r + 3")
     g = series_one_minus_exp_inv(M + r + 3)
-    ic = g * 2 - 1
-    lhs = ic.power(r)
     rhs = LaurentSeries(M + 1, (), M + 1) + Fraction((-1) ** r + 1, 2)
     for j in range(1, r + 1):
         c = cot_power_coeff(r, j)
         if c:
             rhs = rhs + _cot_derivative_series(j, g) * c
-    return lhs.agrees_through(rhs, M)
+    return (g * 2 - 1).power(r), rhs
 
 
 def bernoulli_conv_coeff_from_series(r: int, j: int) -> Fraction:

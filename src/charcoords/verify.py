@@ -44,6 +44,8 @@ from .coordinates import METHODS, coords_definitional_many, direct_sum_float, re
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem
 from .series import (
+    _decomposition_sides,
+    _stirling_sides,
     bernoulli_conv_coeff_from_series,
     verify_power_decomposition,
     verify_stirling_identity,
@@ -120,7 +122,7 @@ class SuiteResult(NamedTuple):
 def _value_str(v) -> str:
     if isinstance(v, CycElem):
         return "CycElem[%d]%s" % (v.order, v.coeff_strings())
-    return repr(v)
+    return v if isinstance(v, str) else repr(v)
 
 
 SUITES: dict[str, Callable[[SuiteConfig], SuiteResult]] = {}
@@ -284,17 +286,30 @@ def suite_reconstruction(config: SuiteConfig):
             yield {"n": n, "element": label}, reconstruct(ys, n), a, None
 
 
+def _series_case(inputs: dict, holds: bool, sides: Callable, degree: int, M: int) -> tuple:
+    """The case of a series identity checked through t^M.  A failure
+    rebuilds the two sides, sides(degree, M), and carries "[t^e] value" of
+    each for the first exponent e at which they differ."""
+    if holds:
+        return inputs, True, True, None
+    lhs, rhs = sides(degree, M)
+    e, a, b = lhs._first_difference(rhs, M)
+    return inputs, "[t^%d] %s" % (e, a), "[t^%d] %s" % (e, b), False
+
+
 @_recorded
 def suite_series_oracle(config: SuiteConfig):
     """Series-level checks: the Stirling derivative identity, the
     cotangent-power decomposition, and both independent oracles for the
     Bernoulli-convolution coefficients."""
     for k in range(1, config.stirling_k_max + 1):
-        inputs = {"identity": "stirling", "k": k, "order": 2 * k + 4}
-        yield inputs, verify_stirling_identity(k, 2 * k + 4), True, None
+        M = 2 * k + 4
+        yield _series_case({"identity": "stirling", "k": k, "order": M},
+                           verify_stirling_identity(k, M), _stirling_sides, k, M)
     for r in range(1, config.decomposition_r_max + 1):
-        inputs = {"identity": "power_decomposition", "r": r, "order": 2 * r + 4}
-        yield inputs, verify_power_decomposition(r, 2 * r + 4), True, None
+        M = 2 * r + 4
+        yield _series_case({"identity": "power_decomposition", "r": r, "order": M},
+                           verify_power_decomposition(r, M), _decomposition_sides, r, M)
     for r in range(1, config.d_oracle_r_max + 1):
         for j in range(1, r + 1):
             yield ({"identity": "conv_vs_bruteforce", "r": r, "j": j},

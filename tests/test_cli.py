@@ -373,10 +373,31 @@ def test_series_verify_reports_a_planted_fault(capsys, monkeypatch):
     assert (code, err) == (1, "")
     summary, mismatch, total = out.splitlines()
     assert summary.split() == ["series_oracle", "3", "cases", "FAIL", "(1)"]
+    # the first power of t at which the two sides differ, and both coefficients
     assert mismatch == (
-        "  mismatch {'identity': 'power_decomposition', 'r': 2, 'order': 8}: False != True")
+        "  mismatch {'identity': 'power_decomposition', 'r': 2, 'order': 8}: [t^-2] 4 != [t^-2] 0")
     assert total == "total failures: 1"
     assert _run_masked(capsys, _VERIFY_SPELLINGS[checker]) == (code, out, err)
+
+
+@pytest.mark.parametrize("name, fault, argv, record", [
+    ("cot_power_coeff", lambda r, j: r == 2, "--set stirling_k_max=0 --set decomposition_r_max=3",
+     {"suite": "series_oracle", "inputs": {"identity": "power_decomposition", "order": 8, "r": 2},
+      "lhs": "[t^-2] 4", "rhs": "[t^-2] 0"}),
+    ("stirling_first_unsigned", lambda k, j: (k, j) == (3, 2),
+     "--set stirling_k_max=4 --set decomposition_r_max=0",
+     {"suite": "series_oracle", "inputs": {"identity": "stirling", "k": 3, "order": 10},
+      "lhs": "[t^-2] 3/2", "rhs": "[t^-2] 2"}),
+], ids=["power_decomposition", "stirling"])
+def test_series_json_failures_carry_the_first_differing_coefficient(capsys, monkeypatch,
+                                                                    name, fault, argv, record):
+    # c_{2,j} or S(3, 2) off by one breaks one identity case
+    original = getattr(series, name)
+    monkeypatch.setattr(series, name, lambda a, b: original(a, b) + fault(a, b))
+    code, out, err = run_cli(capsys, *(_SERIES_ORACLE + " --format json " + argv).split())
+    assert (code, err) == (1, "")
+    (suite,) = json.loads(out)["suites"]
+    assert suite["failures"] == [record]
 
 
 def test_verify_command(capsys):

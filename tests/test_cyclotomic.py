@@ -19,6 +19,7 @@ from charcoords.cyclotomic import (
     project_to_subfield,
     to_common_order,
 )
+from charcoords.series import LaurentSeries
 
 
 def test_cyclotomic_polynomial_small():
@@ -130,6 +131,7 @@ def test_conjugate_examples():
     assert a.conjugate() == a.galois(4)
     assert a.conjugate().conjugate() == a
     assert CycElem.zeta(2).conjugate() == CycElem.zeta(2)
+    assert CycElem.from_rational(F(-5, 3)).conjugate() == CycElem.from_rational(F(-5, 3))
 
 
 def test_complex_eval():
@@ -324,6 +326,16 @@ def test_storage_examples():
     zero = CycElem._from_ints(5, [0, 0, 0, 0, 0, 0], 7)
     assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
     assert zero == CycElem.zero(5)
+    # both exact types share one value base: lowest terms from unreduced
+    # ints, equal hashes, slots only; equal nums/den in the two types differ
+    series = LaurentSeries._from_ints(0, [2, 4], 6, 2)
+    for x, y in ((even, CycElem._from_ints(4, [1, 2], 3)),
+                 (series, LaurentSeries._from_ints(0, [1, 2], 3, 2))):
+        assert (x.nums, x.den) == (y.nums, y.den) == ((1, 2), 3)
+        assert x == y and hash(x) == hash(y)
+        assert not hasattr(x, "__dict__")
+    assert even != series and series != even
+    assert not even == series and not series == even
 
 
 @settings(max_examples=60, deadline=None)

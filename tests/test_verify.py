@@ -145,15 +145,18 @@ def test_float_crosscheck_evaluates_each_gauss_sum_once(monkeypatch):
 )
 def test_series_oracle_catches_a_planted_fault(monkeypatch, module, name, at, delta, expected):
     """One coefficient off at one (k, j) or (r, j) fails exactly the cases
-    that read it, and a failed identity is recorded as False against True."""
+    that read it, and a failed identity records the first exponent e at
+    which its two sides differ, with both coefficients of t^e."""
     original = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda a, b: original(a, b) + (delta if (a, b) == at else 0))
     (result,) = run_suites(config_with_overrides(MINI, suites=("series_oracle",)))
     assert [f.inputs for f in result.failures] == expected
+    first_difference = {"stirling": ("[t^-2] 3/2", "[t^-2] 2"),
+                        "power_decomposition": ("[t^-1] -2", "[t^-1] %s" % (-2 - 2 * delta))}
     for f in result.failures:
         if "order" in f.inputs:
-            assert (f.lhs, f.rhs) == ("False", "True")
+            assert (f.lhs, f.rhs) == first_difference[f.inputs["identity"]]
         else:
             assert f.lhs != f.rhs
 
