@@ -14,6 +14,11 @@ The verify subcommand takes its configuration from its argv alone: the
 range flags and --set key=value, which reaches every SuiteConfig field.
 No file or environment variable changes what it checks.
 
+main parses a subcommand's argv in one parse_known_args pass.  Options may
+come before, between or after the positionals: parse_intermixed_args, which
+takes two passes, runs only when that pass leaves strings over, for a
+positional after an option or an unknown argument, which it reports.
+
 Importing this module and building its parser loads the package's
 arith, memo, cyclotomic, characters, bernoulli, combinatorics, cotangent
 and coordinates modules (charcoords/__init__.py imports them) and no
@@ -297,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Built once per process and shared by every call of :func:`main`, so a
     long-lived caller does not rebuild it per request.  main is not for
-    concurrent threads: they would share one sys.stdout, and on some Python
-    versions parse_intermixed_args changes the parser while it parses.
+    concurrent threads: they would share one sys.stdout.  main's one
+    parse_known_args pass leaves the parser untouched; only its fallback,
+    parse_intermixed_args, changes it while it parses, on some Python versions.
     """
     parser = argparse.ArgumentParser(
         prog="charcoords",
@@ -313,13 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chars)
 
     p = sub.add_parser("coord", help="character coordinate of a cotangent power")
-    p.add_argument("n", type=int)
-    p.add_argument("char_index", type=int, nargs="?")
-    p.add_argument("r", type=int, nargs="?")
+    p.add_argument("n", type=int, help="the modulus of the characters and of cot(pi/n)")
+    p.add_argument("char_index", type=int, nargs="?",
+                   help="the character's index in `chars n`; with --all-chars, the power r")
+    p.add_argument("r", type=int, nargs="?",
+                   help="the power r of i*cot(pi/n); --method cotnum takes --j and no r")
     p.add_argument("--j", type=int, help="cotangent-number index (with --method cotnum)")
     p.add_argument("--method", choices=list(METHODS), default="def",
                    help="; ".join("%s: %s" % (key, m.summary) for key, m in METHODS.items()))
-    p.add_argument("--all-chars", action="store_true")
+    p.add_argument("--all-chars", action="store_true",
+                   help="every character mod n; takes n and r, or n and --j")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_coord)
 
@@ -374,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # options may come before, between or after positionals (parse_args, on 3.11, refuses
-    # `coord 7 --method closed 1 3`), the same on every Python version
+    # one parse_known_args pass; parse_intermixed_args (two passes) only for argv that pass
+    # leaves strings of: a positional after an option, or an unknown argument
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None  # None: -h, --version, no known command
@@ -384,7 +393,9 @@ def main(argv=None) -> int:
     else:
         if command.usage is None:  # else parse_intermixed_args formats it per call
             command.usage = command.format_usage()[len("usage: "):]
-        args = command.parse_intermixed_args(argv[1:])
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            args = command.parse_intermixed_args(argv[1:])
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit

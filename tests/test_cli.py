@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from charcoords import cli, coordinates, series, verify
 from charcoords.arith import InternalError, euler_phi
 from charcoords.characters import enumerate_characters
 from charcoords.cli import main
-from charcoords.coordinates import coord_cotangent_closed
+from charcoords.coordinates import METHODS, coord_cotangent_closed
 from charcoords.cotangent import cotangent_number
 from charcoords.cyclotomic import CycElem, FieldMembershipError
 from charcoords.memo import clear_memos
@@ -202,6 +203,71 @@ def test_coord_options_may_precede_positionals(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
     assert (code, err) == (0, "")
     assert (code, out, err) == run_cli(capsys, *expected.split(), "--format", "json")
+
+
+def _count_intermixed_parses(monkeypatch) -> list:
+    """The argv of every parse_intermixed_args call from now on, in a list."""
+    calls = []
+    intermixed = argparse.ArgumentParser.parse_intermixed_args
+
+    def counted(self, args=None, namespace=None):
+        calls.append(args)
+        return intermixed(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_intermixed_args", counted)
+    return calls
+
+
+def test_positionals_first_take_one_parse_pass(capsys, monkeypatch):
+    calls = _count_intermixed_parses(monkeypatch)
+    code, out, err = run_cli(capsys, *"coord 7 1 3 --method def --format json".split())
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["r"] == 3
+    assert calls == []
+
+
+def test_intermixed_parse_runs_for_what_one_pass_leaves_over(capsys, monkeypatch):
+    argv = "coord 7 --method closed 1 3".split()
+    leftover = cli.build_parser().commands["coord"].parse_known_args(argv[1:])[1]
+    if sys.version_info < (3, 12):
+        # the optional positionals take an empty match before the option; newer
+        # argparse versions leave them for the strings after it
+        assert leftover == ["1", "3"]
+    calls = _count_intermixed_parses(monkeypatch)
+    assert run_cli(capsys, *argv) == run_cli(capsys, *"coord 7 1 3 --method closed".split())
+    assert len(calls) == (1 if leftover else 0)
+
+
+def test_unknown_argument_is_reported_by_the_intermixed_parse(capsys, monkeypatch):
+    calls = _count_intermixed_parses(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main("coord 7 1 3 --bogus".split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, len(calls)) == (2, "", 1)
+    assert captured.err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+def _help(capsys, monkeypatch, argv: str):
+    """Exit code and stdout of argv, which asks for help, at a width that wraps no line."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    return exc.value.code, capsys.readouterr().out
+
+
+def test_coord_help_explains_the_positionals(capsys, monkeypatch):
+    code, out = _help(capsys, monkeypatch, "coord -h")
+    assert code == 0
+    assert "with --all-chars, the power r" in out
+    assert "--method cotnum takes --j and no r" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "coord -h 7 1 3", "coord 7 -h 1 3", "coord 7 1 -h 3", "coord 7 1 3 -h",
+    "coord 7 --method closed -h 1 3", "coord 47 5 --all-chars --help",
+])
+def test_help_anywhere_among_valid_positionals(capsys, monkeypatch, argv):
+    assert _help(capsys, monkeypatch, argv) == _help(capsys, monkeypatch, "coord -h")
 
 
 def test_coord_all_chars_refuses_a_character_index(capsys):
@@ -845,5 +911,81 @@ def test_malformed_argv_is_a_usage_error(argv):
         except SystemExit as exc:
             code = exc.code
     assert code == 2, (argv, err.getvalue())
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+
+
+# -- one parse pass ------------------------------------------------------------
+# Each subcommand's positionals, in order, and its options, each a list of
+# tokens; a token is a string or a strategy, well-formed or not.
+
+def _mostly(valid, lowest):
+    """A well-formed token three times in four, else one that is not an integer >= lowest."""
+    return st.one_of(valid, valid, valid, _bad(lowest))
+
+
+_FORMAT = ["--format", st.sampled_from(["text", "json", "bogus"])]
+_SUITE = st.sampled_from(["coeff_bridge", "series_oracle", "bogus"])
+_ARGV_SHAPES = {
+    "chars": ([_mostly(_N, 2)], [_FORMAT]),
+    "coord": ([_mostly(_N, 2), _mostly(st.integers(0, 8), 0), _mostly(_R, 1)],
+              [["--j", _mostly(_R, 1)], ["--method", st.sampled_from([*METHODS, "bogus"])],
+               ["--all-chars"], _FORMAT]),
+    "coeffs": ([st.sampled_from(["c", "d", "check", "bogus"]), _mostly(_R, 1)], []),
+    "cot": ([_mostly(_N, 2)], [["--j", _R], ["--power", _R], _FORMAT]),
+    "bernoulli": ([_mostly(_R, 0)], [["--char", _N, st.integers(0, 8)], _FORMAT]),
+    "series": ([st.sampled_from(["verify", "bogus"])],
+               [["--decomposition"], ["--stirling"], ["--rmax", _R], ["--kmax", _R]]),
+    "verify": ([_SUITE, _SUITE],
+               [["--n-max", _R], ["--r-max", _R], ["--j-max", _R],
+                ["--tol", st.sampled_from(["1e-8", "x"])],
+                ["--set", st.sampled_from(["n_max=3", "bogus"])], _FORMAT]),
+}
+
+
+@st.composite
+def _interleaved_argv(draw):
+    """A subcommand's positionals (mostly all, else one too few or one too many) and
+    up to three of its options, one time in five with an unknown one, each option
+    placed before, between or after the positionals."""
+    command = draw(st.sampled_from(sorted(_ARGV_SHAPES)))
+    positionals, options = _ARGV_SHAPES[command]
+    count = max(draw(st.sampled_from([-1, 0, 0, 1])) + len(positionals), 0)
+    tokens = [draw(p) for p in (positionals + positionals[-1:])[:count]]
+    groups = draw(st.lists(st.sampled_from(options), max_size=3, unique_by=lambda g: g[0])
+                  if options else st.just([]))
+    groups += [["--bogus"]] if draw(st.sampled_from(range(5))) == 4 else []
+    groups = [[draw(t) if isinstance(t, st.SearchStrategy) else t for t in g] for g in groups]
+    places = [draw(st.integers(0, len(tokens))) for _ in groups]
+    argv = [command]
+    for i in range(len(tokens) + 1):
+        argv += [t for g, at in zip(groups, places) if at == i for t in g]
+        argv += tokens[i:i + 1]
+    return [str(t) for t in argv]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_interleaved_argv())
+def test_one_parse_pass_matches_the_intermixed_parse(argv):
+    # main parses what parse_intermixed_args parses whenever either accepts argv, and
+    # refuses the rest with exit code 2, nothing on stdout and no traceback
+    command = cli.build_parser().commands[argv[0]]
+    func, parsed = command.get_default("func"), []
+    command.set_defaults(func=lambda args: parsed.append(args) or 0)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            try:
+                intermixed = [command.parse_intermixed_args(argv[1:])]
+            except SystemExit:
+                intermixed = []
+    finally:
+        command.set_defaults(func=func)
+    assert parsed == intermixed, argv
+    assert code == (0 if parsed else 2), (argv, err.getvalue())
     assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
