@@ -12,7 +12,9 @@ fixes the character indexing used by the CLI, is:
 * modulus 2 contributes no generators (its unit group is trivial).
 
 The index of a character is the lexicographic rank of its exponent vector,
-so the principal character always has index 0.
+so the principal character always has index 0.  The group mod n builds its
+tables and every character in its constructor and never changes afterwards;
+:func:`character_group` hands out that one complete group per modulus.
 
 Character values are exact roots of unity in Q(zeta_m), where m is the
 multiplicative order of the character.
@@ -55,11 +57,22 @@ def _crt_lift(g: int, q: int, n: int) -> int:
     return (g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % n
 
 
+def _rank(components: tuple[CrtComponent, ...], exponents) -> int:
+    """Lexicographic rank of the exponents, each taken mod its component's order."""
+    rank = 0
+    for comp, e in zip(components, exponents):
+        rank = rank * comp.order + e % comp.order
+    return rank
+
+
 class CharacterGroup:
     """The group of Dirichlet characters mod n, with its CRT generators.
 
-    Instances are immutable after construction; obtain them through
-    :func:`character_group` so they are shared and hash cheaply.
+    The constructor builds all of it, and nothing changes it afterwards:
+    the components, log_table (unit residue -> exponent tuple on the
+    generators, in lexicographic exponent order), unit_columns (units(n)
+    ascending, and per generator its exponents in those units) and
+    characters (all of them, in lexicographic exponent order).
     """
 
     def __init__(self, modulus: int):
@@ -82,61 +95,26 @@ class CharacterGroup:
                 g = _smallest_primitive_root(q)
                 comps.append(CrtComponent(q, g, euler_phi(q), _crt_lift(g, q, modulus)))
         self.components = tuple(comps)
-        self._log_table: dict[int, tuple[int, ...]] | None = None
-        self._unit_columns: tuple | None = None
-        self._characters: dict[tuple[int, ...], DirichletCharacter] = {}
-        self._all: tuple[DirichletCharacter, ...] | None = None
-
-    @property
-    def log_table(self) -> dict[int, tuple[int, ...]]:
-        """unit residue -> exponent tuple on the generators, in lexicographic
-        exponent order (built lazily)."""
-        if self._log_table is None:
-            table: dict[int, tuple[int, ...]] = {}
-            for exps in itertools.product(*(range(c.order) for c in self.components)):
-                u = 1 % self.modulus
-                for comp, e in zip(self.components, exps):
-                    u = (u * pow(comp.generator_mod_n, e, self.modulus)) % self.modulus
-                table[u] = exps
-            if len(table) != self.phi:
-                raise ArithmeticError("generators do not generate (Z/%d)*" % self.modulus)
-            self._log_table = table
-        return self._log_table
-
-    @property
-    def unit_columns(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """units(n) ascending, and per generator the column of its exponents
-        in those units: log_table read column by column (built lazily)."""
-        if self._unit_columns is None:
-            ks = units(self.modulus)
-            logs = [self.log_table[k % self.modulus] for k in ks]
-            self._unit_columns = (ks, tuple(zip(*logs)))
-        return self._unit_columns
-
-    @property
-    def characters(self) -> tuple["DirichletCharacter", ...]:
-        """Every character, in lexicographic exponent order (built lazily)."""
-        if self._all is None:
-            self._all = tuple(self.character(exps) for exps in self.log_table.values())
-        return self._all
+        table: dict[int, tuple[int, ...]] = {}
+        for exps in itertools.product(*(range(c.order) for c in self.components)):
+            u = 1 % modulus
+            for comp, e in zip(self.components, exps):
+                u = (u * pow(comp.generator_mod_n, e, modulus)) % modulus
+            table[u] = exps
+        if len(table) != self.phi:
+            raise ArithmeticError("generators do not generate (Z/%d)*" % modulus)
+        self.log_table = table
+        ks = units(modulus)
+        self.unit_columns = (ks, tuple(zip(*(table[k % modulus] for k in ks))))
+        self.characters = tuple(DirichletCharacter(self, exps) for exps in table.values())
 
     def character(self, exponents: tuple[int, ...]) -> "DirichletCharacter":
-        """The one shared instance of the character with these exponents.
-
-        Enumeration, power(), conjugate() and primitive_part() all go
-        through here, so a memo keyed on a character finds it by identity.
-        """
-        chi = self._characters.get(exponents)
-        if chi is None:
-            chi = DirichletCharacter(self, exponents)
-            chi = self._characters.setdefault(chi.exponents, chi)
-        return chi
-
-    def __eq__(self, other):
-        return isinstance(other, CharacterGroup) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("CharacterGroup", self.modulus))
+        """The group's character with these exponents, each taken mod its
+        generator's order: the one instance, so a memo keyed on a character
+        finds it by identity."""
+        if len(exponents) != len(self.components):
+            raise ValueError("need one exponent per generator")
+        return self.characters[_rank(self.components, exponents)]
 
     def __repr__(self):
         return "CharacterGroup(%d)" % self.modulus
@@ -156,22 +134,19 @@ class DirichletCharacter:
 
     def __init__(self, group: CharacterGroup, exponents):
         self.group = group
+        self.modulus = group.modulus
         exponents = tuple(exponents)
         if len(exponents) != len(group.components):
             raise ValueError("need one exponent per generator")
-        self.exponents = tuple(
-            e % c.order for e, c in zip(exponents, group.components)
-        )
+        self.exponents = tuple(e % c.order for e, c in zip(exponents, group.components))
         m = 1
         for comp, e in zip(group.components, self.exponents):
             if e:
                 m = math.lcm(m, comp.order // math.gcd(comp.order, e))
         self.order = m
         # chi(generator_i) = zeta_m ** _weights[i]
-        self._weights = tuple(
-            (e * m) // comp.order
-            for comp, e in zip(group.components, self.exponents)
-        )
+        self._weights = tuple(e * m // comp.order
+                              for comp, e in zip(group.components, self.exponents))
         # every memo and dict lookup hashes the character, and every closed
         # form and defining sum asks its parity: both are fixed at construction
         self._hash = hash((group.modulus, self.exponents))
@@ -181,20 +156,13 @@ class DirichletCharacter:
         self._parity = -1 if e else 1
 
     @property
-    def modulus(self) -> int:
-        return self.group.modulus
-
-    @property
     def is_principal(self) -> bool:
         return not any(self.exponents)
 
     @property
     def index(self) -> int:
-        """Lexicographic rank of the exponent vector."""
-        rank = 0
-        for comp, e in zip(self.group.components, self.exponents):
-            rank = rank * comp.order + e
-        return rank
+        """Lexicographic rank of the exponent vector: group.characters[index] == chi."""
+        return _rank(self.group.components, self.exponents)
 
     def value_exponent(self, k: int):
         """e with chi(k) = zeta_m^e, or None when gcd(k, n) > 1."""
@@ -229,10 +197,8 @@ class DirichletCharacter:
         return self._parity
 
     def power(self, s: int) -> "DirichletCharacter":
-        """chi^s, k -> chi(k)^s (exponent vector times s), the shared instance."""
-        return self.group.character(tuple(
-            s * e % c.order for e, c in zip(self.exponents, self.group.components)
-        ))
+        """chi^s, k -> chi(k)^s (exponent vector times s), the group's one instance."""
+        return self.group.character(tuple(s * e for e in self.exponents))
 
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character chi^-1."""

@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chars", help="list the Dirichlet characters mod n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help="the modulus, n >= 2")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_chars)
 
@@ -333,12 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coord)
 
     p = sub.add_parser("coeffs", help="expansion coefficient tables (CSV)")
-    p.add_argument("kind", choices=("c", "d", "check"))
-    p.add_argument("r", type=int)
+    p.add_argument("kind", choices=("c", "d", "check"),
+                   help="c: cot-power coefficients; d: Bernoulli convolution; check: the bridge")
+    p.add_argument("r", type=int, help="the row r of the table; with check, every r <= R")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("cot", help="exact cotangent powers / cotangent numbers")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help="the modulus of cot(pi/n)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--j", type=int, help="cotangent number index")
     group.add_argument("--power", type=int, help="power of i*cot(pi/n)")
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cot)
 
     p = sub.add_parser("bernoulli", help="Bernoulli and generalized Bernoulli numbers")
-    p.add_argument("r", type=int)
+    p.add_argument("r", type=int, help="the index r of B_r, or of B_{r, chi} with --char")
     p.add_argument(
         "--char",
         nargs=2,
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bernoulli)
 
     p = sub.add_parser("series", help="series-level identity checks")
-    p.add_argument("action", choices=("verify",))
+    p.add_argument("action", choices=("verify",), help="verify: check the selected identities")
     p.add_argument("--decomposition", dest="prop_decomposition", action="store_true",
                    help="check the cotangent power decomposition")
     p.add_argument("--stirling", action="store_true",

@@ -386,6 +386,8 @@ class CycElem(_Scaled):
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycElem":
         """zeta_N^power."""
+        if order < 1:
+            raise ValueError("zeta needs order >= 1, got %d" % order)
         power %= order
         return cls._from_ints(order, [0] * power + [1])
 
@@ -518,9 +520,9 @@ class CycElem(_Scaled):
         return self.galois(self.order - 1)
 
     def embed(self, M: int) -> "CycElem":
-        """Image in Q(zeta_M) under zeta_N -> zeta_M^(M/N); needs N | M."""
+        """Image in Q(zeta_M) under zeta_N -> zeta_M^(M/N); needs M >= 1, N | M."""
         N = self.order
-        if M % N:
+        if M < 1 or M % N:
             raise ValueError("cannot embed order %d into order %d" % (N, M))
         if M == N:
             return self
@@ -636,11 +638,11 @@ def _project_ints(ints: Sequence[int], L: int, m: int) -> list[int]:
 
 
 def project_to_subfield(a: CycElem, m: int) -> CycElem:
-    """Write a as an element of Q(zeta_m) for m | order, or raise
+    """Write a as an element of Q(zeta_m) for m >= 1 dividing the order, or raise
     FieldMembershipError if a does not lie in that subfield."""
     L = a.order
-    if L % m:
-        raise ValueError("%d does not divide the order %d" % (m, L))
+    if m < 1 or L % m:
+        raise ValueError("%d is not a positive divisor of the order %d" % (m, L))
     if m == L:
         return a
     return _project_cyclic(a.nums + (0,) * (L - len(a.nums)), a.den, L, m)

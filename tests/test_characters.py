@@ -11,6 +11,7 @@ from charcoords.characters import (
     gauss_sum,
 )
 from charcoords.cyclotomic import CycElem, to_common_order
+from charcoords.memo import clear_memos
 
 
 def test_enumeration_counts():
@@ -208,6 +209,37 @@ def test_characters_are_shared_per_group():
     chi = first[5]
     shifted = tuple(e + c.order for e, c in zip(chi.exponents, chi.group.components))
     assert chi.group.character(shifted) is chi
+
+
+def test_a_group_never_changes_after_construction():
+    """Every table and character is built by the constructor: nothing the
+    characters do afterwards adds, replaces or fills in a field of a group."""
+    clear_memos()  # fresh groups: a field filled on first use would still be unset
+    groups = [character_group(n) for n in range(1, 61)]
+    snapshot = [{key: id(value) for key, value in vars(g).items()} for g in groups]
+    tables = [dict(g.log_table) for g in groups]
+    for n in range(2, 61):
+        for chi in enumerate_characters(n):
+            for s in (-1, 0, 2, 3, chi.order + 1):
+                chi.power(s)
+            chi.conjugate()
+            chi.primitive_part()
+            chi.conductor()
+            for k in range(n):
+                chi.value_exponent(k)
+            chi.unit_values()
+    assert [character_group(n) for n in range(1, 61)] == groups
+    assert [{key: id(value) for key, value in vars(g).items()} for g in groups] == snapshot
+    assert [g.log_table for g in groups] == tables
+
+
+def test_character_refuses_exponents_of_the_wrong_length():
+    for n, count in ((5, 1), (8, 2), (24, 3)):
+        g = character_group(n)
+        assert len(g.components) == count
+        for exponents in ((), (0,) * (count - 1), (1,) * (count + 1)):
+            with pytest.raises(ValueError, match="one exponent per generator"):
+                g.character(exponents)
 
 
 def test_enumeration_returns_a_new_list_of_the_same_characters():

@@ -262,6 +262,26 @@ def test_coord_help_explains_the_positionals(capsys, monkeypatch):
     assert "--method cotnum takes --j and no r" in out
 
 
+@pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
+def test_every_positional_has_help(capsys, monkeypatch, command):
+    positionals = [a for a in cli.build_parser().commands[command]._actions
+                   if not a.option_strings]
+    assert positionals and all(a.help for a in positionals)
+    code, out = _help(capsys, monkeypatch, command + " -h")
+    assert code == 0 and all(a.help in out for a in positionals)
+
+
+@pytest.mark.parametrize("argv, code", [("chars 5 --format json", 0), ("chars 1", 2)])
+def test_console_script_entry_exits_with_main_code(capsys, monkeypatch, argv, code):
+    assert main(argv.split()) == code
+    printed = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["charcoords", *argv.split()])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    assert capsys.readouterr() == printed
+
+
 @pytest.mark.parametrize("argv", [
     "coord -h 7 1 3", "coord 7 -h 1 3", "coord 7 1 -h 3", "coord 7 1 3 -h",
     "coord 7 --method closed -h 1 3", "coord 47 5 --all-chars --help",

@@ -201,6 +201,22 @@ def test_project_to_subfield():
         project_to_subfield(CycElem.zeta(30), 7)
 
 
+@pytest.mark.parametrize("order", [0, -1, -12])
+def test_orders_below_one_are_refused_as_bad_input(order):
+    """zeta, embed and project_to_subfield refuse an order below 1 with a
+    ValueError naming it, before any arithmetic: not a ZeroDivisionError,
+    a slicing error or the internal FieldMembershipError."""
+    a = CycElem.from_polynomial(12, [1, 2, 0, F(-1, 3)])  # -12 is minus its order
+    with pytest.raises(ValueError, match=r"^zeta needs order >= 1, got %d$" % order):
+        CycElem.zeta(order)
+    with pytest.raises(ValueError, match=r"^zeta needs order >= 1, got %d$" % order):
+        CycElem.zeta(order, 5)
+    with pytest.raises(ValueError, match=r"^cannot embed order 12 into order %d$" % order):
+        a.embed(order)
+    with pytest.raises(ValueError, match=r"^%d is not a positive divisor of the order 12$" % order):
+        project_to_subfield(a, order)
+
+
 small_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12])
 small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
