@@ -4,7 +4,7 @@ the package's one polynomial product, of integer coefficient lists
 one square-and-multiply loop (_power), and the package's two internal-error
 types, which the CLI reports as internal errors (exit code 3).  _Scaled is
 the one base of the exact values, CycElem and LaurentSeries: their fields,
-equality, hash, pickling and immutability."""
+equality, hash, pickling, immutability, zero test, negation and subtraction."""
 
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ class _Scaled:
     __slots__.  Its _set(*fields), in slot order, is its canonical step and
     ends in _store.  Equal values then have equal fields: equality, the
     hash and a pickle or copy go over the field tuple in slot order.
-    Assigning or deleting an attribute raises AttributeError.
+    Assigning or deleting an attribute raises AttributeError.  The zero
+    test, negation and subtraction go through the subclass's + and *.
     """
 
     __slots__ = ()
@@ -69,6 +70,23 @@ class _Scaled:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients nums[i] / den."""
         return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        if not isinstance(other, (type(self), int, Fraction)):
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -26,14 +26,15 @@ coordinates) and :func:`direct_sum_float`, a floating-point evaluation of
 the raw character sum used only to cross-check ``complex_eval``, never to
 adjudicate exact results.
 
-Cross-field arithmetic always goes through explicit embeddings into
-Q(zeta_L) with L = lcm(n, m).  coord_definitional and reconstruct share
-one exact path in Z[x]/(x^L - 1): the twisted orbit sum
-characters._twisted_sum (the defining sum; at zeta_f, the Gauss sum) times
-the Gauss sum's terms by cyclotomic._cyclic_mul, handed unreduced to the
-tensor-basis projection, which builds no element of Q(zeta_L).  It
-verifies membership of the result in the target field instead of assuming
-it, raising FieldMembershipError on any violation (an internal-consistency
+Cross-field arithmetic always goes through explicit embeddings into a
+common Q(zeta_L), in Z[x]/(x^L - 1).  coord_definitional, at
+L = lcm(n, m), multiplies the twisted orbit sum characters._twisted_sum
+(the defining sum) by the Gauss sum's terms; reconstruct, at
+L = lcm(n, every order), multiplies each embedded coordinate by them; both
+by cyclotomic._cyclic_mul.  Each hands its vector unreduced to the
+tensor-basis projection, which builds no element of Q(zeta_L) and verifies
+membership of the result in the target field instead of assuming it,
+raising FieldMembershipError on any violation (an internal-consistency
 signal).
 
 Galois orbits.  Let chi have order m and let s be a unit mod m.  Take t

@@ -4,7 +4,8 @@ An element is stored as the canonical residue of a polynomial in zeta_N
 modulo the N-th cyclotomic polynomial Phi_N: phi(N) integer numerators of
 1, zeta_N, ..., zeta_N^(phi(N)-1) over one denominator, a value of
 :class:`charcoords.arith._Scaled`.  The residue is unique, so equal fields
-are equal field elements.  Every operation is a pure function.
+are equal field elements.  Every operation is a pure function.  A sum or
+a rational multiple is one _combination call, as in the closed forms.
 
 Orders are never coerced silently: combining two CycElem values of
 different orders raises; use :func:`to_common_order` (which embeds both
@@ -349,6 +350,7 @@ def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
 class CycElem(_Scaled):
     """An element of Q(zeta_N) in canonical residue form: sum(nums[i] *
     zeta_N^i) / den with exactly phi(N) ints ``nums``, a value of _Scaled.
+    A sum or a rational multiple is one _combination.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -402,10 +404,6 @@ class CycElem(_Scaled):
     # -- views and predicates ------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    @property
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
@@ -432,32 +430,13 @@ class CycElem(_Scaled):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        g = math.gcd(self.den, o.den)
-        sa, sb = o.den // g, self.den // g
-        v = [a * sa + b * sb for a, b in zip(self.nums, o.nums)]
-        return CycElem._from_ints(self.order, v, self.den * sa)
+        return _combination(self.order, [(self, 1), (o, 1)])
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if not isinstance(other, (CycElem, int, Fraction)):
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return -self + other
-
-    def __neg__(self):
-        return CycElem._from_ints(self.order, [-c for c in self.nums], self.den)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return CycElem._from_ints(
-                self.order, [c * p for c in self.nums], self.den * other.denominator
-            )
+            return _combination(self.order, [(self, other)])
         o = self._coerce(other)
         if o is None:
             return NotImplemented

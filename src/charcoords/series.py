@@ -8,9 +8,9 @@ identities in the variable t, with every i-power carried as an explicit
 rational sign.  Nothing here imports :mod:`charcoords.cyclotomic` or the
 convolution recurrence.  A series is a tuple of integer numerators over one
 denominator, a value of :class:`charcoords.arith._Scaled` (lowest terms,
-equality of fields, immutability), so a product is one integer product of
-the numerator lists and a sum one integer sum over the lcm of the two
-denominators.
+equality of fields, immutability, and the zero test, negation and
+subtraction), so a product is one integer product of the numerator lists
+and a sum one integer sum over the lcm of the two denominators.
 
 A :class:`LaurentSeries` knows its coefficients for exponents
 ``low .. prec-1`` and refuses to answer beyond ``prec`` (raising
@@ -58,10 +58,6 @@ class LaurentSeries(_Scaled):
     def known_through(self) -> int:
         return self.prec - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def coefficient(self, e: int) -> Fraction:
         if e >= self.prec:
             raise TruncationError(
@@ -75,15 +71,6 @@ class LaurentSeries(_Scaled):
     def shift(self, d: int) -> "LaurentSeries":
         """Multiply by t^d."""
         return LaurentSeries._from_ints(self.low + d, self.nums, self.den, self.prec + d)
-
-    def _scalar(self, q) -> "LaurentSeries":
-        q = Fraction(q)
-        return LaurentSeries._from_ints(
-            self.low, [c * q.numerator for c in self.nums], self.den * q.denominator, self.prec
-        )
-
-    def __neg__(self):
-        return self._scalar(-1)
 
     def _cast(self, other):
         if isinstance(other, LaurentSeries):
@@ -109,18 +96,10 @@ class LaurentSeries(_Scaled):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._cast(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scalar(other)
+            return LaurentSeries._from_ints(self.low, [c * other.numerator for c in self.nums],
+                                            self.den * other.denominator, self.prec)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         prec = min(self.low + other.prec, other.low + self.prec)

@@ -8,10 +8,11 @@ loop counts the cases, times the suite and records every mismatch
 case checks nothing, so before the first suite runs, run_suites draws the
 first case of each selected suite and refuses one that has none.  The
 three closed-form suites share one sweep against the definitional
-coordinate, each driven by its entry of coordinates.METHODS.  Every suite
-builds the elements of a modulus first and takes all their definitional
-coordinates from one coords_definitional_many call: one defining sum
-per Galois orbit of characters for all the elements at once, in element
+coordinate, each driven by its entry of coordinates.METHODS.  The five
+suites that compare coordinates (not coeff_bridge or series_oracle) build
+the elements of a modulus first and take all their definitional
+coordinates from one coords_definitional_many call: one defining sum per
+Galois orbit of characters for all the elements at once, in element
 lanes, the other members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, NamedTuple
 
 from .arith import is_prime
 from .characters import enumerate_characters, gauss_sum
@@ -344,19 +345,20 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
     """A SuiteConfig with the given fields replaced, values coerced from
     strings where necessary (used by the CLI's flags and --set)."""
     coerced = {}
-    types = get_type_hints(SuiteConfig)
+    defaults = SuiteConfig._field_defaults
     for key, value in overrides.items():
-        if key not in types:
+        if key not in defaults:
             raise ValueError("unknown config key %r" % key)
         if isinstance(value, str):
-            # int, float, or a comma-separated tuple of one element type
-            kind = types[key]
+            # by the type of the default: int, float, or a comma-separated
+            # tuple of the type of its first element (no tuple default is empty)
+            default = defaults[key]
             try:
-                if get_origin(kind) is tuple:
-                    item = get_args(kind)[0]
+                if isinstance(default, tuple):
+                    item = type(default[0])
                     value = tuple(item(p.strip()) for p in value.split(",") if p.strip())
                 else:
-                    value = kind(value)
+                    value = type(default)(value)
             except ValueError as exc:
                 raise ValueError("%s: %s" % (key, exc)) from None
         coerced[key] = value

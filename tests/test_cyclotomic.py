@@ -354,6 +354,31 @@ def test_storage_examples():
     assert not even == series and not series == even
 
 
+def test_shared_ring_operations_on_both_types():
+    # the zero test, negation and subtraction of the exact values, on an
+    # element with a denominator and on a series with a pole
+    cyc = CycElem(12, (F(1, 3), F(-2, 5), 0, F(7, 2)))
+    cyc_other = CycElem(12, (2, F(1, 6), F(-3, 4), 1))
+    ser = LaurentSeries.from_terms(-2, [F(1, 3), 0, F(-5, 2), 4])
+    ser_other = LaurentSeries(-1, [F(2, 7), 1, F(1, 2), 0, 3], 4)
+    for x, y, zero in ((cyc, cyc_other, CycElem.zero(12)),
+                       (ser, ser_other, LaurentSeries(2, (), 2))):
+        assert x - y == x + (-y)
+        for q in (3, F(-5, 6)):
+            assert q - x == -(x - q)
+        assert -x == x * -1 and -(-x) == x
+        assert (x - x).is_zero and zero.is_zero and not x.is_zero
+        for foreign in ("a", None):
+            with pytest.raises(TypeError):
+                x - foreign
+            with pytest.raises(TypeError):
+                foreign - x
+    with pytest.raises(TypeError):
+        cyc - ser
+    with pytest.raises(ValueError, match="to_common_order"):
+        cyc - CycElem.one(5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(element_pairs())
 def test_storage_is_canonical(pair):

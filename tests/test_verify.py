@@ -71,8 +71,17 @@ def test_config_overrides_coerce_strings():
     assert cfg.n_max == 12
     assert cfg.float_tolerance == 1e-6
     assert cfg.suites == ("coeff_bridge", "series_oracle")
+    assert config_with_overrides(eq_primitive_extra_moduli=" 4 , 9 ").eq_primitive_extra_moduli == (4, 9)
+    with pytest.raises(ValueError, match="n_max: invalid literal for int"):
+        config_with_overrides(n_max="1.5")
     with pytest.raises(ValueError):
         config_with_overrides(bogus_key="1")
+    # a string is read by the type of the field's default: every field has
+    # one, and each default, written as a --set value, reads back as itself
+    assert SuiteConfig._field_defaults.keys() == set(SuiteConfig._fields)
+    for name, default in SuiteConfig._field_defaults.items():
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        assert getattr(config_with_overrides(**{name: text}), name) == default
 
 
 @pytest.mark.parametrize(
