@@ -262,33 +262,14 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
     return list(character_group(n).characters)  # a new list: callers may change it
 
 
-def _twisted_sum(chi: DirichletCharacter, nums: tuple[int, ...], L: int) -> list[int]:
-    """sum over units k mod q of chi(k) sigma_k(sum_i nums[i] zeta_q^i) as L
-    ints of Z[x]/(x^L - 1), q and m the modulus and order of chi, both
-    dividing L: chi(k) = zeta_m^e sits at exponent (L/m)*e and
-    sigma_k(zeta_q^i) at (L/q)*i*k mod L.  For nums = (0, 1) it is tau(chi)."""
-    stride_q = L // chi.modulus
-    stride_m = L // chi.order
-    vec = [0] * L
-    for k, e in chi.unit_values():
-        pos = stride_m * e
-        step = stride_q * k
-        for c in nums:
-            vec[pos] += c
-            pos += step
-            if pos >= L:
-                pos -= L
-    return vec
-
-
 @memo
 def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (exponent, coefficient) pairs of tau(chi) in
     Z[x]/(x^L - 1), ascending, for chi primitive with modulus and order
-    dividing L: the term list the coordinate paths hand to _cyclic_mul.
-    It is _twisted_sum's (0, 1) case read off the units: chi(k) zeta_f^k
-    sits at (L/m)*e + (L/f)*k mod L, so it takes phi(f) steps, not L.
-    Memoized, as reconstruction meets each (chi, L) once per element."""
+    dividing L: the term list reconstruction hands to _cyclic_mul, and the
+    vector of gauss_sum.  chi(k) zeta_f^k sits at (L/m)*e + (L/f)*k mod L,
+    so it takes phi(f) steps, not L.  Memoized, as reconstruction meets
+    each (chi, L) once per element."""
     stride_f = L // chi.modulus
     stride_m = L // chi.order
     terms: dict[int, int] = {}
@@ -309,4 +290,9 @@ def gauss_sum(chi: DirichletCharacter) -> CycElem:
     if chi.conductor() != f:
         raise ValueError("gauss_sum needs a primitive character")
     J = math.lcm(f, chi.order)
-    return CycElem._from_ints(J, _twisted_sum(chi, (0, 1), J))
+    vec = [0] * J
+    # unmemoized: this function's memo keeps the sum, and a second copy as
+    # terms would only hold memory
+    for i, c in _gauss_support.__wrapped__(chi, J):
+        vec[i] = c
+    return CycElem._from_ints(J, vec)

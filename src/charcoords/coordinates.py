@@ -11,9 +11,10 @@ in the field of values Q(zeta_m), m = order of chi.
 
 This module computes y(chi|a) three independent ways:
 
-* :func:`coord_definitional` evaluates the defining sum exactly, and
-  :func:`coords_definitional_many` every character's coordinate of many
-  elements, one sum per Galois orbit in element lanes (below);
+* :func:`coord_definitional` evaluates the defining sum exactly, as a
+  trace of Q(zeta_n)/Q (below), and :func:`coords_definitional_many`
+  every character's coordinate of many elements, one bucket sum per
+  Galois orbit;
 * :func:`coord_cotangent_closed` and :func:`coord_power_closed` use the
   closed forms through generalized Bernoulli numbers and Euler factors,
   summed in integer buckets (below);
@@ -26,16 +27,17 @@ coordinates) and :func:`direct_sum_float`, a floating-point evaluation of
 the raw character sum used only to cross-check ``complex_eval``, never to
 adjudicate exact results.
 
-Cross-field arithmetic always goes through explicit embeddings into a
-common Q(zeta_L), in Z[x]/(x^L - 1).  coord_definitional, at
-L = lcm(n, m), multiplies the twisted orbit sum characters._twisted_sum
-(the defining sum) by the Gauss sum's terms; reconstruct, at
-L = lcm(n, every order), multiplies each embedded coordinate by them; both
-by cyclotomic._cyclic_mul.  Each hands its vector unreduced to the
-tensor-basis projection, which builds no element of Q(zeta_L) and verifies
-membership of the result in the target field instead of assuming it,
+Only :func:`reconstruct` works in a common Q(zeta_L), L = lcm(n, every
+order), in Z[x]/(x^L - 1): it multiplies each embedded coordinate by the
+Gauss sum's terms (cyclotomic._cyclic_mul) and hands its vector unreduced
+to the tensor-basis projection, which builds no element of Q(zeta_L) and
+verifies membership of the result in Q(zeta_n) instead of assuming it,
 raising FieldMembershipError on any violation (an internal-consistency
-signal).
+signal).  The defining sum builds no vector of length L: its buckets are
+an element of Q(zeta_m) by construction, so no membership check guards
+it.  A wrong definitional value is caught by the verify suites, which
+compare it with the closed forms, and by the tests, which compare it with
+the literal defining sum in Q(zeta_L).
 
 Galois orbits.  Let chi have order m and let s be a unit mod m.  Take t
 mod L = lcm(n, m) prime to L with t = s mod m (by the Chinese remainder
@@ -64,29 +66,31 @@ sends conj(chi_f)(p) and B_(j, chi_f) to their values at chi_f^s.  So
 _orbit_walk serves every method; the verify suites, being the check,
 still compute each member's closed form on its own.
 
-Element lanes.  The defining sum, the Gauss-sum product and the projection
-are Z-linear in the numerators of a and run unchanged on any ints, so the
-elements a_0 .. a_(K-1) of one modulus share one pass: coefficient i enters
-as the one integer sum_t c_t,i 2^(8 nb t), c_t the numerators of a_t, with
-lane t holding element t (cyclotomic._pack), and each projected
-coordinate splits back into its K lanes (cyclotomic._unpack), each lane
-then over its own denominator f * den_t.  The split is exact when every
-lane value, at every stage, is below 2^(8 nb - 1) in size; with
-c = max |c_t,i| over the batch:
+The defining sum as a trace.  Multiply the defining identity by
+tau(chi_f).  For psi primitive mod f, tau(psi) tau(conj(psi)) = psi(-1) f
+(an identity the tests check over every conductor in range), and
+chi_f(-1) = chi(-1), so the left side becomes chi(-1) f y(chi|a).  On the
+right, tau(chi_f) is the sum over units l mod f of chi_f(l) zeta_f^l;
+for each unit k mod n substitute l = k l' mod f.  Then chi_f(k l') =
+chi(k) chi_f(l'), conj(chi)(k) chi(k) = 1 and zeta_f^(k l') sigma_k(a) =
+sigma_k(zeta_f^l' a), so the sum over k is a trace:
 
-* the twisted sum puts at most one entry per unit k on each position
-  (for fixed k, i -> (L/n) k i mod L is one-to-one on i < n), so its
-  values are at most phi(n) * c;
-* the Gauss sum's terms are unit counts summing to phi(f), so the
-  product multiplies that by at most phi(f);
-* each projection axis at most doubles a value, since a kept digit takes
-  one top digit per axis, so 2^w bounds the growth, w the number of
-  primes dividing L.
+    chi(-1) f y(chi|a) = sum over units l mod f of chi_f(l) Tr(zeta_f^l a),
 
-So nb is the fewest bytes holding 2^w phi(f) phi(n) c with a sign bit.  A
-packed value is zero exactly when every lane is zero, so the
-FieldMembershipError check covers every element.  One element is its own
-packed value: nothing is packed or split.
+Tr = sum over units k of sigma_k, the trace of Q(zeta_n)/Q.  Tr(zeta_n^j)
+is Ramanujan's sum c_n(j) = mu(n/g) phi(n)/phi(n/g), g = gcd(j, n)
+(Hoelder's form).  With a = sum_i a_i zeta_n^i / d, zeta_f^l =
+zeta_n^(l n/f) and chi_f(l) = zeta_m^e(l) this is
+
+    f d chi(-1) y(chi|a) = sum over units l mod f of zeta_m^e(l) T(l n/f),
+    T(t) = sum_i a_i c_n(i + t) = d Tr(zeta_n^t a):
+
+m integer buckets over one denominator f d, as the closed forms are
+built.  A conductor-1 character gives y = Tr(a).  The T(t), t < n, depend
+on a alone, so coords_definitional_many takes each once per element, one
+slice of a two-period table of c_n per t, and then sums phi(f) of them
+per Galois orbit; coord_definitional takes only the phi(f) its character
+needs.
 
 Closed forms in integer buckets.  Each closed form is built as m integers,
 one per power of zeta_m, over one denominator, and becomes a CycElem once.
@@ -114,21 +118,12 @@ import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .arith import euler_phi, prime_factors, units
+from .arith import divisors, euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
-from .characters import DirichletCharacter, _gauss_support, _twisted_sum, enumerate_characters
+from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .cotangent import cotangent_number, icot_power
-from .cyclotomic import (
-    CycElem,
-    _combination,
-    _cyclic_mul,
-    _pack,
-    _project_cyclic,
-    _project_ints,
-    _tensor_axes,
-    _unpack,
-)
+from .cyclotomic import CycElem, _combination, _cyclic_mul, _project_cyclic
 from .memo import memo
 
 
@@ -137,27 +132,29 @@ def _bernoulli_cached(r: int, chi: DirichletCharacter) -> CycElem:
     return generalized_bernoulli(r, chi)
 
 
-def _lane_width(bound: int) -> int:
-    """Bytes per lane for lane values of absolute value at most bound: the
-    fewest that hold them with a sign bit."""
-    return bound.bit_length() // 8 + 1
+@memo
+def _ramanujan_sums(n: int) -> tuple[int, ...]:
+    """c_n(j) = Tr(zeta_n^j), the sum of zeta_n^(jk) over the units k mod n,
+    for j = 0 .. 2n - 1: two periods, so the phi(n) values from any j <= n
+    on are one slice.  By Hoelder's closed form c_n(j) = mu(n/g) phi(n)/phi(n/g),
+    g = gcd(j, n), one value per divisor."""
+    phi = euler_phi(n)
+    by_gcd = {}
+    for q in divisors(n):
+        exps = prime_factors(q).values()
+        by_gcd[n // q] = (-1) ** len(exps) * phi // euler_phi(q) if all(e == 1 for e in exps) else 0
+    return tuple(by_gcd[math.gcd(j, n)] for j in range(n)) * 2
 
 
-def _definitional_lanes(chi: DirichletCharacter, elements: Sequence[CycElem]) -> list[CycElem]:
-    """y(chi|a) for every a in elements, by one defining sum in lanes.
+def _traces(a: CycElem, ts) -> dict[int, int]:
+    """T(t) = sum_i a_i c_n(i + t) = den * Tr(zeta_n^t a) for each t in ts,
+    0 <= t <= n, with a = sum_i a_i zeta_n^i / den (module docstring)."""
+    c, nums = _ramanujan_sums(a.order), a.nums
+    k = len(nums)
+    return {t: sum(map(operator.mul, nums, c[t:t + k])) for t in ts}
 
-    The sum over sigma_k(a) weighted by conj(chi)(k) is accumulated in
-    Z[x]/(x^L - 1), L = lcm(n, m), then multiplied by the inverse of the
-    embedded Gauss sum tau(conj(chi)_f).  That inverse is the exact element
-    chi(-1)/f * tau(chi_f): for a primitive character psi mod f one has
-    tau(psi) tau(conj(psi)) = psi(-1) f, an identity the test suite checks
-    independently over every conductor in range.  The result is verified
-    to lie in Q(zeta_m) and returned there.
 
-    All the elements share one pass, element t in lane t of each packed
-    coefficient (module docstring); one element is its own packed value.
-    """
-    n = chi.modulus
+def _check_elements(n: int, elements: Sequence[CycElem]) -> None:
     if n < 2:
         raise ValueError("coordinates need modulus >= 2")
     for a in elements:
@@ -166,37 +163,35 @@ def _definitional_lanes(chi: DirichletCharacter, elements: Sequence[CycElem]) ->
                 "element of order %d cannot be paired with a character mod %d"
                 % (a.order, n)
             )
-    m = chi.order
-    L = math.lcm(n, m)
+
+
+def _definitional_buckets(chi: DirichletCharacter, elements: Sequence[CycElem],
+                          traces: Sequence[Mapping[int, int]]) -> list[CycElem]:
+    """y(chi|a) for each a in elements, from its traces T(t) (traces[i] for
+    elements[i], keyed by t and holding every t = l n/f mod n, l a unit mod
+    f): the defining sum as a trace (module docstring), m integer buckets
+    over f * den(a)."""
     chif = chi.primitive_part()
-    f = chif.modulus
-    k = len(elements)
-    if k == 1:
-        nums = elements[0].nums
-    else:
-        top = max(max(map(abs, a.nums)) for a in elements)
-        nb = _lane_width(2 ** len(_tensor_axes(L)) * euler_phi(f) * euler_phi(n) * top)
-        # coefficient-major, lane-minor: read back at k lanes per coefficient
-        flat = [c for column in zip(*(a.nums for a in elements)) for c in column]
-        nums = _unpack(_pack(flat, nb), euler_phi(n), k * nb)
-    vec = _twisted_sum(chi.conjugate(), nums, L)
-    prod = _cyclic_mul(vec, _gauss_support(chif, L), L)
-    w = _project_ints(prod, L, m)
-    if chi.parity() == -1:
-        w = [-c for c in w]
-    if k == 1:
-        lanes = [w]
-    else:
-        flat = _unpack(_pack(w, k * nb), m * k, nb)
-        lanes = [flat[t::k] for t in range(k)]
-    return [CycElem._from_ints(m, lane, f * a.den) for lane, a in zip(lanes, elements)]
+    n, f, m = chi.modulus, chif.modulus, chi.order
+    terms = [(e, l * (n // f) % n) for l, e in chif.unit_values()]
+    sign = chi.parity()
+    out = []
+    for a, T in zip(elements, traces):
+        buckets = [0] * m
+        for e, t in terms:
+            buckets[e] += T[t]
+        out.append(CycElem._from_ints(m, buckets if sign > 0 else [-b for b in buckets], f * a.den))
+    return out
 
 
 @memo
 def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
-    """y(chi|a) by the defining sum, computed exactly: the one-element call
-    of the lane kernel (see _definitional_lanes)."""
-    return _definitional_lanes(chi, (a,))[0]
+    """y(chi|a) by the defining sum, computed exactly as a trace: only the
+    phi(f) traces its character needs (see _definitional_buckets)."""
+    n, f = chi.modulus, chi.conductor()
+    _check_elements(n, (a,))
+    ts = [l * (n // f) % n for l in units(f)]
+    return _definitional_buckets(chi, (a,), (_traces(a, ts),))[0]
 
 
 @memo
@@ -214,7 +209,7 @@ def _galois_orbits(n: int) -> tuple[tuple[DirichletCharacter, tuple], ...]:
 
 
 def _orbit_walk(n: int, values: Callable) -> list[dict[DirichletCharacter, CycElem]]:
-    """One dict per lane t over every character mod n: values(chi)[t] at each
+    """One dict per value t over every character mod n: values(chi)[t] at each
     Galois orbit's first character chi, its galois_s at chi^s (module docstring)."""
     walk = [(members, values(chi)) for chi, members in _galois_orbits(n)]
     return [{psi: ys[t].galois(s) for members, ys in walk for s, psi in members}
@@ -224,11 +219,15 @@ def _orbit_walk(n: int, values: Callable) -> list[dict[DirichletCharacter, CycEl
 def coords_definitional_many(
     n: int, elements: Sequence[CycElem]
 ) -> list[dict[DirichletCharacter, CycElem]]:
-    """For each a in elements, y(chi|a) for every character chi mod n: one
-    defining sum per Galois orbit for all the elements at once, in element
-    lanes (module docstring)."""
+    """For each a in elements, y(chi|a) for every character chi mod n: the
+    traces T(t), t < n, once per element, then one bucket sum per Galois
+    orbit (module docstring)."""
     elements = tuple(elements)
-    return _orbit_walk(n, lambda chi: _definitional_lanes(chi, elements)) if elements else []
+    if not elements:
+        return []
+    _check_elements(n, elements)
+    traces = [_traces(a, range(n)) for a in elements]
+    return _orbit_walk(n, lambda chi: _definitional_buckets(chi, elements, traces))
 
 
 def coord_one(chi: DirichletCharacter) -> CycElem:

@@ -186,7 +186,9 @@ def _schoolbook_reduce(coeffs: Sequence[int], N: int) -> list[int]:
 # 0.200-0.205 s, against 0.151 s for the faster side of every product.  The
 # shifted adds win only on the lane-packed sums (0.045 s against 0.126 s
 # term by term); on the 2,765 products of entries below 2^62 the loop is
-# the faster side in all but 7, by 39 us in all.
+# the faster side in all but 7, by 39 us in all.  The defining sums have
+# since left Z[x]/(x^N - 1); the cutoff is not re-measured on the products
+# left, the closed forms' Euler terms and reconstruction.
 _KRONECKER_MIN = 12
 
 # array typecodes by item size, for packing at C speed when nb <= 8

@@ -11,9 +11,9 @@ three closed-form suites share one sweep against the definitional
 coordinate, each driven by its entry of coordinates.METHODS.  The five
 suites that compare coordinates (not coeff_bridge or series_oracle) build
 the elements of a modulus first and take all their definitional
-coordinates from one coords_definitional_many call: one defining sum per
-Galois orbit of characters for all the elements at once, in element
-lanes, the other members by CycElem.galois.  Exact suites never consult floating
+coordinates from one coords_definitional_many call: each element's traces
+once, then one bucket sum per Galois orbit of characters, the other
+members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
 the coordinate and the Gauss sum, each evaluated in its own field.  It

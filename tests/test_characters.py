@@ -5,12 +5,11 @@ import pytest
 from charcoords.arith import divisors, units
 from charcoords.characters import (
     _gauss_support,
-    _twisted_sum,
     character_group,
     enumerate_characters,
     gauss_sum,
 )
-from charcoords.cyclotomic import CycElem, to_common_order
+from charcoords.cyclotomic import CycElem, _combination, to_common_order
 from charcoords.memo import clear_memos
 
 
@@ -305,19 +304,27 @@ def test_gauss_sum_matches_defining_sum():
 
 
 def test_gauss_support_is_the_nonzero_part_of_the_dense_sum():
-    """A cold _gauss_support, read off the units, equals the ascending
-    nonzero entries of the dense twisted sum for tau(chi), for every
-    primitive character of conductor f <= 40 and L = lcm(f, m) times 1, 2
-    and 3."""
+    """A cold _gauss_support, read off the units, is a list of distinct
+    ascending exponents with positive unit counts summing to phi(f).  At
+    L = lcm(f, m) its terms c * zeta_L^i add up to the literal sum of
+    chi(k) zeta_f^k over the units k, each term a product of CycElem.zeta
+    values; at L times 2 and 3 it is that support with every exponent
+    scaled, the embedding x -> x^2 or x^3.  For every primitive character
+    of conductor f <= 40."""
     for f in range(3, 41):
         for chi in enumerate_characters(f):
             if chi.conductor() != f:
                 continue
-            for k in (1, 2, 3):
-                L = k * math.lcm(f, chi.order)
-                dense = _twisted_sum(chi, (0, 1), L)
-                expected = tuple((i, c) for i, c in enumerate(dense) if c)
-                assert _gauss_support.__wrapped__(chi, L) == expected, (f, chi.index, L)
+            J = math.lcm(f, chi.order)
+            support = _gauss_support.__wrapped__(chi, J)
+            exponents = [i for i, _ in support]
+            assert exponents == sorted(set(exponents)) and 0 <= exponents[0] and exponents[-1] < J
+            assert all(c > 0 for _, c in support) and sum(c for _, c in support) == len(units(f))
+            literal = _combination(J, [(CycElem.zeta(chi.order, chi.value_exponent(k)).embed(J)
+                                        * CycElem.zeta(f, k).embed(J), 1) for k in units(f)])
+            assert _combination(J, [(CycElem.zeta(J, i), c) for i, c in support]) == literal, (f, chi.index)
+            for s in (2, 3):
+                assert _gauss_support.__wrapped__(chi, s * J) == tuple((s * i, c) for i, c in support)
 
 
 def test_mod8_group_convention():

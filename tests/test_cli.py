@@ -109,17 +109,17 @@ def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypa
     # order, from one defining sum per Galois orbit of characters mod n; the
     # walk goes through the coord_definitional memo, so it starts cold
     clear_memos()
-    lanes = []
+    sums = []
 
-    def counted(chi, elements):
-        lanes.append(chi)
-        return kernel(chi, elements)
+    def counted(chi, elements, traces):
+        sums.append(chi)
+        return kernel(chi, elements, traces)
 
-    kernel = coordinates._definitional_lanes
-    monkeypatch.setattr(coordinates, "_definitional_lanes", counted)
+    kernel = coordinates._definitional_buckets
+    monkeypatch.setattr(coordinates, "_definitional_buckets", counted)
     code, out, _ = run_cli(capsys, "coord", str(n), str(r), "--all-chars", "--format", "json")
     assert code == 0
-    assert len(lanes) == len(coordinates._galois_orbits(n))
+    assert len(sums) == len(coordinates._galois_orbits(n))
     rows = json.loads(out)["results"]
     assert len(rows) == len(enumerate_characters(n)) == euler_phi(n)
     for idx, row in enumerate(rows):
@@ -563,23 +563,6 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert out == ""
     assert err == "internal error: %s\n" % exc
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("width", [
-    lambda bound: bound.bit_length() // 8,  # one byte short: none at all below 2^8
-    lambda bound: max(bound.bit_length() // 8, 1),  # one byte short, at least one
-], ids=["one_byte_short", "one_byte_short_at_least_one"])
-def test_lane_overflow_is_an_internal_error(capsys, monkeypatch, width):
-    # lane values wider than their proven width are a bug in the program, not bad
-    # input: one "internal error" line and exit 3, no traceback and no usage error
-    clear_memos()
-    monkeypatch.setattr(coordinates, "_lane_width", width)
-    try:
-        code, out, err = run_cli(capsys, "verify", "power_closed_form", "--format", "json")
-    finally:
-        clear_memos()
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_cli_imports_no_suite_module():

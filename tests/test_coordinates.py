@@ -12,8 +12,8 @@ from charcoords.arith import euler_phi, prime_factors, units
 from charcoords.characters import enumerate_characters, gauss_sum
 from charcoords import coordinates
 from charcoords.coordinates import (
-    _definitional_lanes,
     _euler_divisors,
+    _ramanujan_sums,
     coord_cotangent_closed,
     coord_definitional,
     coord_one,
@@ -66,9 +66,9 @@ def test_definitional_rejects_order_mismatch():
 
 
 def test_gauss_inverse_shortcut_matches_euclid():
-    # the definitional path multiplies by inverse(embed(tau(conj(chi)_f), L)),
-    # realized as chi(-1)/f * tau(chi_f); pin that against the field
-    # inverse of the embedded Gauss sum
+    # the trace form of the defining sum rests on tau(chi_f) tau(conj(chi)_f)
+    # = chi(-1) f, i.e. inverse(embed(tau(conj(chi)_f), L)) = chi(-1)/f *
+    # tau(chi_f); pin that against the field inverse of the embedded Gauss sum
     for n, idx in ((4, 1), (5, 1), (5, 2), (7, 3), (12, 2)):
         chi = enumerate_characters(n)[idx]
         chif = chi.primitive_part()
@@ -216,7 +216,7 @@ def test_orbit_coordinates_match_definitional():
                 assert ys[chi] == coord_definitional.__wrapped__(chi, a), (n, chi.index)
 
 
-def _lane_batch(rng, n, size):
+def _batch(rng, n, size):
     """size elements of Q(zeta_n) in turn (i cot)^r, cotangent numbers and
     seeded dense elements with denominators, whose numerators take both
     signs and reach the largest numerator of the batch's other elements."""
@@ -234,37 +234,52 @@ def _lane_batch(rng, n, size):
     return batch
 
 
-def test_lanes_match_the_one_element_defining_sum():
-    """For every n <= 64, on batches of 1 to 13 elements: the lane-packed
-    defining sum of each orbit's first character equals the one-element
-    defining sum of every element, and coords_definitional_many gives each
-    element's coordinates for every character as its one-element call does."""
+def test_batched_defining_sums_match_the_one_element_sum():
+    """For every n <= 64, on batches of 1 to 13 elements: coords_definitional_many,
+    each element's traces once and one bucket sum per Galois orbit, gives
+    every element's coordinate at every character as the one-element
+    defining sum does."""
     rng = random.Random(20251019)
     for n in range(2, 65):
-        batch = _lane_batch(rng, n, 1 + n % 13)
-        for chi, _ in coordinates._galois_orbits(n):
-            lanes = _definitional_lanes(chi, batch)
-            for t, a in enumerate(batch):
-                assert lanes[t] == coord_definitional.__wrapped__(chi, a), (n, chi.index, t)
-        assert coords_definitional_many(n, batch) == [coords_definitional_many(n, [a])[0]
-                                                       for a in batch]
+        batch = _batch(rng, n, 1 + n % 13)
+        coords = coords_definitional_many(n, batch)
+        assert len(coords) == len(batch)
+        for ys, a in zip(coords, batch):
+            assert set(ys) == set(enumerate_characters(n))
+            for chi, y in ys.items():
+                assert y == coord_definitional.__wrapped__(chi, a), (n, chi.index)
     assert coords_definitional_many(7, []) == []
 
 
-def test_lanes_one_byte_short_of_the_bound_overflow(monkeypatch):
-    """The lane width is the fewest bytes that hold the proven bound, and
-    the bound is nearly reached: for the principal character mod 7 and
-    a = M - M (zeta + ... + zeta^5) the coordinate is the trace 11 M against
-    a bound of 2 * 6 * M.  With M = 5461 that needs 3 bytes; one byte fewer
-    corrupts the lane."""
-    M = 5461
-    a = CycElem._from_ints(7, [M] + [-M] * 5)
-    batch = [a, icot_power(2, 7)]
-    chi0 = enumerate_characters(7)[0]
-    assert _definitional_lanes(chi0, batch)[0] == CycElem.from_rational(11 * M)
-    assert coordinates._lane_width(2 * 6 * M) == 3
-    monkeypatch.setattr(coordinates, "_lane_width", lambda bound: bound.bit_length() // 8)
-    assert _definitional_lanes(chi0, batch)[0] != coord_definitional.__wrapped__(chi0, a)
+def test_ramanujan_sums_are_the_traces_of_the_roots():
+    """The two-period table of c_n(j) holds, at every j < 2n, the exact sum
+    of zeta_n^(jk) over the units k mod n, for every n <= 60."""
+    for n in range(1, 61):
+        table = _ramanujan_sums.__wrapped__(n)
+        assert len(table) == 2 * n
+        for j, c in enumerate(table):
+            trace = sum((CycElem.zeta(n, j * k) for k in units(n)), CycElem.zero(n))
+            assert trace == CycElem.from_rational(c, n), (n, j)
+
+
+def test_definitional_times_gauss_sum_is_the_literal_defining_sum():
+    """y(chi|a) tau(conj(chi)_f) in Q(zeta_L), L = lcm(n, m), equals the sum
+    of conj(chi)(k) sigma_k(a) over the units k, built term by term with
+    galois and embed and no inverse, for every character mod n <= 30 and
+    a = (i cot)^2, the cotangent number j = 3 and a seeded dense element
+    with denominators."""
+    rng = random.Random(20261020)
+    for n in range(2, 31):
+        dense = CycElem(n, [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(euler_phi(n))])
+        for a in (icot_power(2, n), cotangent_number(3, n), dense):
+            for chi in enumerate_characters(n):
+                chibar = chi.conjugate()
+                L = math.lcm(n, chi.order)
+                literal = CycElem.zero(L)
+                for k in units(n):
+                    literal = literal + chibar.eval(k).embed(L) * a.galois(k).embed(L)
+                tau = gauss_sum(chibar.primitive_part()).embed(L)
+                assert coord_definitional(chi, a).embed(L) * tau == literal, (n, chi.index)
 
 
 def test_reconstruct_rejects_missing():

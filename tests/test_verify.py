@@ -1,8 +1,12 @@
 import copy
 import json
+import os
 import pickle
+import shutil
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,39 @@ def test_closed_forms_catch_a_flipped_euler_term(monkeypatch):
             assert f.inputs["methods"] == methods[result.name], f.inputs
 
 
+# faults planted in the trace form of the defining sum (the coordinates
+# docstring): (old text, new text) of coordinates.py.  No membership check
+# guards that path, so the suites themselves must catch each one.
+_DEFINING_SUM_FAULTS = {
+    "parity_sign_dropped": ("buckets if sign > 0 else [-b for b in buckets]", "buckets"),
+    "conj_chi_f_for_chi_f": ("chif = chi.primitive_part()\n    n, f, m = chi.modulus",
+                             "chif = chi.conjugate().primitive_part()\n    n, f, m = chi.modulus"),
+    "shift_l_for_l_n_over_f": ("(e, l * (n // f) % n)", "(e, l % n)"),
+    "ramanujan_sum_c_n_1_off_by_one": ("by_gcd[math.gcd(j, n)] for j in range(n)",
+                                       "by_gcd[math.gcd(j, n)] + (j == 1) for j in range(n)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_DEFINING_SUM_FAULTS))
+def test_default_verify_catches_a_planted_defining_sum_fault(tmp_path, fault):
+    """Each fault, planted in a copy of the package, makes default verify
+    exit 1 with failures in both closed-form sweeps, not a crash."""
+    old, new = _DEFINING_SUM_FAULTS[fault]
+    package = tmp_path / "charcoords"
+    shutil.copytree(Path(coordinates.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = package / "coordinates.py"
+    text = source.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "charcoords.cli", "verify", "--format", "json"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+    assert proc.returncode == 1, proc.stderr
+    failed = {suite["name"] for suite in json.loads(proc.stdout)["suites"] if suite["failures"]}
+    assert {"power_closed_form", "cotnum_closed_form"} <= failed
+
+
 def test_a_planted_closed_form_fault_reaches_the_suite_and_the_cli(monkeypatch, capsys):
     """coord_power_closed off at one (chi, r) fails exactly that
     power_closed_form case and changes that coord --method closed output:
@@ -328,7 +365,7 @@ def test_result_json_shape():
 
 
 # every public operation of the computational modules, by defining code object;
-# for the defining sum, the lane kernel the suites run in coord_definitional's place,
+# for the defining sum, the per-orbit bucket sum the suites run in coord_definitional's place,
 # and for a character value, the exponent the paths read in place of its CycElem (eval)
 _COVERED_OPS = [
     cyclotomic.cyclotomic_polynomial,
@@ -359,7 +396,9 @@ _COVERED_OPS = [
     cotangent.icot_power,
     cotangent.cot_derivative_poly,
     cotangent.cotangent_number,
-    coordinates._definitional_lanes,
+    coordinates._ramanujan_sums,
+    coordinates._traces,
+    coordinates._definitional_buckets,
     coordinates.coord_cotangent_closed,
     coordinates.coord_one,
     coordinates.coord_power_closed,
