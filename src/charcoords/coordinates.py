@@ -78,19 +78,23 @@ sigma_k(zeta_f^l' a), so the sum over k is a trace:
     chi(-1) f y(chi|a) = sum over units l mod f of chi_f(l) Tr(zeta_f^l a),
 
 Tr = sum over units k of sigma_k, the trace of Q(zeta_n)/Q.  Tr(zeta_n^j)
-is Ramanujan's sum c_n(j) = mu(n/g) phi(n)/phi(n/g), g = gcd(j, n)
-(Hoelder's form).  With a = sum_i a_i zeta_n^i / d, zeta_f^l =
-zeta_n^(l n/f) and chi_f(l) = zeta_m^e(l) this is
+is Ramanujan's sum c_n(j), the sum over d | gcd(j, n) of mu(n/d) d
+(write the test gcd(k, n) = 1 as the sum of mu(e) over e | gcd(k, n);
+the k mod n that e divides then add up to d = n/e when d | j, else 0).
+With a = sum_i a_i zeta_n^i / den, zeta_f^l = zeta_n^(l n/f) and
+chi_f(l) = zeta_m^e(l) this is
 
-    f d chi(-1) y(chi|a) = sum over units l mod f of zeta_m^e(l) T(l n/f),
-    T(t) = sum_i a_i c_n(i + t) = d Tr(zeta_n^t a):
+    f den chi(-1) y(chi|a) = sum over units l mod f of zeta_m^e(l) T(l n/f),
+    T(t) = sum_i a_i c_n(i + t) = den Tr(zeta_n^t a)
+         = sum over d | n of mu(n/d) d S_d(-t mod d),
 
-m integer buckets over one denominator f d, as the closed forms are
-built.  A conductor-1 character gives y = Tr(a).  The T(t), t < n, depend
-on a alone, so coords_definitional_many takes each once per element, one
-slice of a two-period table of c_n per t, and then sums phi(f) of them
-per Galois orbit; coord_definitional takes only the phi(f) its character
-needs.
+S_d(r) the sum of the a_i with i = r mod d, one term per d with n/d
+squarefree (the (d, mu(n/d)) list that builds Phi_n): m integer buckets
+over one denominator f den, as the closed forms are built.  A
+conductor-1 character gives y = Tr(a).  The T(t), t < n, depend on a
+alone, so _traces takes all n of them once per element, and every
+character's bucket sum then reads the phi(f) it needs; one Galois orbit
+costs one bucket sum.
 
 Closed forms in integer buckets.  Each closed form is built as m integers,
 one per power of zeta_m, over one denominator, and becomes a CycElem once.
@@ -118,12 +122,12 @@ import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .arith import divisors, euler_phi, prime_factors, units
+from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
 from .characters import DirichletCharacter, _gauss_support, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .cotangent import cotangent_number, icot_power
-from .cyclotomic import CycElem, _combination, _cyclic_mul, _project_cyclic
+from .cyclotomic import CycElem, _combination, _cyclic_mul, _mobius_divisors, _project_cyclic
 from .memo import memo
 
 
@@ -133,25 +137,19 @@ def _bernoulli_cached(r: int, chi: DirichletCharacter) -> CycElem:
 
 
 @memo
-def _ramanujan_sums(n: int) -> tuple[int, ...]:
-    """c_n(j) = Tr(zeta_n^j), the sum of zeta_n^(jk) over the units k mod n,
-    for j = 0 .. 2n - 1: two periods, so the phi(n) values from any j <= n
-    on are one slice.  By Hoelder's closed form c_n(j) = mu(n/g) phi(n)/phi(n/g),
-    g = gcd(j, n), one value per divisor."""
-    phi = euler_phi(n)
-    by_gcd = {}
-    for q in divisors(n):
-        exps = prime_factors(q).values()
-        by_gcd[n // q] = (-1) ** len(exps) * phi // euler_phi(q) if all(e == 1 for e in exps) else 0
-    return tuple(by_gcd[math.gcd(j, n)] for j in range(n)) * 2
-
-
-def _traces(a: CycElem, ts) -> dict[int, int]:
-    """T(t) = sum_i a_i c_n(i + t) = den * Tr(zeta_n^t a) for each t in ts,
-    0 <= t <= n, with a = sum_i a_i zeta_n^i / den (module docstring)."""
-    c, nums = _ramanujan_sums(a.order), a.nums
-    k = len(nums)
-    return {t: sum(map(operator.mul, nums, c[t:t + k])) for t in ts}
+def _traces(a: CycElem) -> tuple[int, ...]:
+    """T(t) = den * Tr(zeta_n^t a) for t = 0 .. n - 1, with
+    a = sum_i a_i zeta_n^i / den: the sum over d | n, n/d squarefree, of
+    mu(n/d) d S_d(-t mod d), S_d(r) the sum of the a_i with i = r mod d
+    (module docstring).  Every d adds its d values, one per residue class
+    of t, n/d times over."""
+    n, nums = a.order, a.nums
+    ups, downs = _mobius_divisors(n)
+    T = [0] * n
+    for d, c in [(d, d) for d in ups] + [(d, -d) for d in downs]:
+        S = [sum(nums[r::d]) for r in range(d)]
+        T = list(map(operator.add, T, [c * S[-t % d] for t in range(d)] * (n // d)))
+    return tuple(T)
 
 
 def _check_elements(n: int, elements: Sequence[CycElem]) -> None:
@@ -166,11 +164,11 @@ def _check_elements(n: int, elements: Sequence[CycElem]) -> None:
 
 
 def _definitional_buckets(chi: DirichletCharacter, elements: Sequence[CycElem],
-                          traces: Sequence[Mapping[int, int]]) -> list[CycElem]:
-    """y(chi|a) for each a in elements, from its traces T(t) (traces[i] for
-    elements[i], keyed by t and holding every t = l n/f mod n, l a unit mod
-    f): the defining sum as a trace (module docstring), m integer buckets
-    over f * den(a)."""
+                          traces: Sequence[Sequence[int]]) -> list[CycElem]:
+    """y(chi|a) for each a in elements, from its traces T(t), t < n
+    (traces[i] = _traces(elements[i])): the defining sum as a trace (module
+    docstring), the phi(f) traces at t = l n/f, l a unit mod f, summed into
+    m integer buckets over f * den(a)."""
     chif = chi.primitive_part()
     n, f, m = chi.modulus, chif.modulus, chi.order
     terms = [(e, l * (n // f) % n) for l, e in chif.unit_values()]
@@ -186,12 +184,11 @@ def _definitional_buckets(chi: DirichletCharacter, elements: Sequence[CycElem],
 
 @memo
 def coord_definitional(chi: DirichletCharacter, a: CycElem) -> CycElem:
-    """y(chi|a) by the defining sum, computed exactly as a trace: only the
-    phi(f) traces its character needs (see _definitional_buckets)."""
-    n, f = chi.modulus, chi.conductor()
-    _check_elements(n, (a,))
-    ts = [l * (n // f) % n for l in units(f)]
-    return _definitional_buckets(chi, (a,), (_traces(a, ts),))[0]
+    """y(chi|a) by the defining sum, computed exactly as a trace from the
+    element's memoized traces (see _definitional_buckets), which every
+    character mod n shares."""
+    _check_elements(chi.modulus, (a,))
+    return _definitional_buckets(chi, (a,), (_traces(a),))[0]
 
 
 @memo
@@ -226,7 +223,7 @@ def coords_definitional_many(
     if not elements:
         return []
     _check_elements(n, elements)
-    traces = [_traces(a, range(n)) for a in elements]
+    traces = [_traces(a) for a in elements]
     return _orbit_walk(n, lambda chi: _definitional_buckets(chi, elements, traces))
 
 

@@ -21,18 +21,17 @@ will hold, plus a sign bit, so unpacking is exact for coefficients of any
 size.  Reduction modulo Phi_N folds modulo x^N - 1 and reads the quotient
 off the product with Psi_N = (x^N - 1) / Phi_N (see _cofactor): two
 products, no division loop.  CycElem multiplication and the reduction
-behind every construction use it.  _cyclic_mul, the one product in the
-group ring Z[x]/(x^N - 1) (a dense vector times a short list of
-(exponent, coefficient) terms, as the coordinate paths multiply by a Gauss
-sum or an Euler product), packs its vector the same way but multiplies by
-shifted adds, one per term, not by a dense product.
+behind every construction use it.
 
 Below _KRONECKER_MIN coefficients in the shorter factor (for a reduction:
-the quotient, or the nonzero terms of Phi_N; for _cyclic_mul: the nonzero
-entries of the vector, or the terms) packing costs more than it saves, so
-the schoolbook loops stay for small fields, for sparse Phi_N such as those
-of prime-power orders, and for short Gauss sums and Euler products; they
-are also the reference the tests compare the kernel against.
+the quotient, or the nonzero terms of Phi_N) packing costs more than it
+saves, so the schoolbook loops stay for small fields and for sparse Phi_N
+such as those of prime-power orders; they are also the reference the
+tests compare the kernel against.  _cyclic_mul, the one product in the
+group ring Z[x]/(x^N - 1) (a dense vector times a short list of
+(exponent, coefficient) terms, as the coordinate paths multiply by a Gauss
+sum or an Euler product), is such a loop, over the nonzero entries of
+the vector and the terms.
 
 Projection to a subfield (:func:`project_to_subfield`, and the coordinate
 paths, which hand over their raw vectors in Z[x]/(x^L - 1)) never reduces
@@ -177,18 +176,8 @@ def _schoolbook_reduce(coeffs: Sequence[int], N: int) -> list[int]:
 
 # Length of the shorter factor from which the packed kernels beat the
 # schoolbook loops, measured: for CycElem products the schoolbook loops are
-# a little faster at phi(N) = 8 and the kernel is 1.5x faster at 12.  For
-# the shifted adds of _cyclic_mul, replaying 3,000 of the 12,976 products
-# the closed-vs-definitional, float and reconstruction suites make (N up to
-# 3,422), the defining sums among them packed in element lanes: the
-# term-by-term loop alone took 0.23 s, the shifted adds alone 0.30 s, this
-# cutoff at 12 0.215 s, at 4, 8 or 10 0.218-0.237 s and at 16 or 24
-# 0.200-0.205 s, against 0.151 s for the faster side of every product.  The
-# shifted adds win only on the lane-packed sums (0.045 s against 0.126 s
-# term by term); on the 2,765 products of entries below 2^62 the loop is
-# the faster side in all but 7, by 39 us in all.  The defining sums have
-# since left Z[x]/(x^N - 1); the cutoff is not re-measured on the products
-# left, the closed forms' Euler terms and reconstruction.
+# a little faster at phi(N) = 8 and the kernel is 1.5x faster at 12.  The
+# reductions modulo Phi_N take the same cutoff.
 _KRONECKER_MIN = 12
 
 # array typecodes by item size, for packing at C speed when nb <= 8
@@ -284,22 +273,9 @@ def _fold(x: int, folds: int, N: int, nb: int) -> int:
 def _cyclic_mul(vec: Sequence[int], terms: Sequence[tuple[int, int]], N: int) -> list[int]:
     """vec * (sum of c x^t over the (t, c) in terms) in Z[x]/(x^N - 1), as
     N ints, for vec dense of length N and every t in 0..N-1 (exponents may
-    repeat).
-
-    The term list is short next to vec (a Gauss sum has phi(f) terms, an
-    Euler product a few), so the packed branch is no dense product: vec is
-    packed once into X and the result is the sum of c * (X << 8*nb*t), one
-    shifted add per term (the shifted copy itself when c = 1, the usual
-    multiplicity of a Gauss-sum term), folded once modulo x^N - 1.  Every
-    coefficient, before and after the fold, is at most max|vec| * sum|c|;
-    the width is taken for twice that, and for vec itself should every c be
-    zero.  Packed when vec has _KRONECKER_MIN nonzero entries and terms
-    that many terms, else term by term."""
-    if min(N - vec.count(0), len(terms)) >= _KRONECKER_MIN:
-        nb = _width(2 * max(map(abs, vec)) * max(sum(abs(c) for _, c in terms), 1))
-        X, w = _pack(vec, nb), 8 * nb
-        x = sum(X << w * t if c == 1 else c * (X << w * t) for t, c in terms)
-        return _unpack(_fold(x, 2, N, nb), N, nb)
+    repeat): term by term over the nonzero entries of vec, as the term list
+    is short (a Gauss sum has phi(f) terms, an Euler product one per
+    squarefree divisor)."""
     out = [0] * N
     for i, a in enumerate(vec):
         if a:

@@ -9,8 +9,9 @@ from functools import lru_cache
 # The largest memo holds 1,662 keys on the exact suites and on a default
 # verify run (coord_cotangent_closed) and 774 on float_crosscheck
 # (DirichletCharacter.conductor); the suites' definitional coordinates come
-# from coords_definitional_many and are not memoized: none is evicted at the
-# default ranges, and a long-lived process stays capped.
+# from coords_definitional_many and are not memoized, but the traces of
+# their elements are (_traces, 407 keys after a default verify run): none is
+# evicted at the default ranges, and a long-lived process stays capped.
 MEMO_MAXSIZE = 8192
 _MEMOS = []
 _GROWTH_LOCK = threading.RLock()  # re-entrant: a step may read another recurrence's rows

@@ -106,8 +106,9 @@ def test_coord_all_chars(capsys):
 @pytest.mark.parametrize("n, r", [(12, 2), (47, 5), (60, 3)])
 def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypatch, n, r):
     # the rows are those of the single-character requests, in enumeration
-    # order, from one defining sum per Galois orbit of characters mod n; the
-    # walk goes through the coord_definitional memo, so it starts cold
+    # order, from one defining sum per Galois orbit of characters mod n and
+    # one table of the element's traces; the walk goes through the
+    # coord_definitional and _traces memos, so it starts cold
     clear_memos()
     sums = []
 
@@ -120,6 +121,7 @@ def test_coord_all_chars_runs_one_defining_sum_per_galois_orbit(capsys, monkeypa
     code, out, _ = run_cli(capsys, "coord", str(n), str(r), "--all-chars", "--format", "json")
     assert code == 0
     assert len(sums) == len(coordinates._galois_orbits(n))
+    assert coordinates._traces.cache_info().misses == 1  # the element's traces, taken once
     rows = json.loads(out)["results"]
     assert len(rows) == len(enumerate_characters(n)) == euler_phi(n)
     for idx, row in enumerate(rows):

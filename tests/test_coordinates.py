@@ -13,7 +13,7 @@ from charcoords.characters import enumerate_characters, gauss_sum
 from charcoords import coordinates
 from charcoords.coordinates import (
     _euler_divisors,
-    _ramanujan_sums,
+    _traces,
     coord_cotangent_closed,
     coord_definitional,
     coord_one,
@@ -251,15 +251,21 @@ def test_batched_defining_sums_match_the_one_element_sum():
     assert coords_definitional_many(7, []) == []
 
 
-def test_ramanujan_sums_are_the_traces_of_the_roots():
-    """The two-period table of c_n(j) holds, at every j < 2n, the exact sum
-    of zeta_n^(jk) over the units k mod n, for every n <= 60."""
-    for n in range(1, 61):
-        table = _ramanujan_sums.__wrapped__(n)
-        assert len(table) == 2 * n
-        for j, c in enumerate(table):
-            trace = sum((CycElem.zeta(n, j * k) for k in units(n)), CycElem.zero(n))
-            assert trace == CycElem.from_rational(c, n), (n, j)
+def test_traces_are_den_times_the_traces_of_the_shifted_element():
+    """_traces(a)[t] is den(a) times the exact rational sum of the
+    conjugates galois(k) of zeta_n^t a over the units k mod n, for every
+    t < n at n <= 40, on (i cot)^3, the cotangent number j = 4 and a seeded
+    dense element with denominators."""
+    rng = random.Random(20261021)
+    for n in range(2, 41):
+        dense = CycElem(n, [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(euler_phi(n))])
+        for a in (icot_power(3, n), cotangent_number(4, n), dense):
+            T = _traces.__wrapped__(a)
+            assert len(T) == n
+            for t in range(n):
+                shifted = CycElem.zeta(n, t) * a
+                trace = sum((shifted.galois(k) for k in units(n)), CycElem.zero(n))
+                assert trace * a.den == CycElem.from_rational(T[t], n), (n, t)
 
 
 def test_definitional_times_gauss_sum_is_the_literal_defining_sum():

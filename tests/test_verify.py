@@ -212,8 +212,8 @@ _DEFINING_SUM_FAULTS = {
     "conj_chi_f_for_chi_f": ("chif = chi.primitive_part()\n    n, f, m = chi.modulus",
                              "chif = chi.conjugate().primitive_part()\n    n, f, m = chi.modulus"),
     "shift_l_for_l_n_over_f": ("(e, l * (n // f) % n)", "(e, l % n)"),
-    "ramanujan_sum_c_n_1_off_by_one": ("by_gcd[math.gcd(j, n)] for j in range(n)",
-                                       "by_gcd[math.gcd(j, n)] + (j == 1) for j in range(n)"),
+    "mobius_sign_dropped": ("(d, -d)", "(d, d)"),
+    "residue_class_off_by_one": ("S[-t % d]", "S[(1 - t) % d]"),
 }
 
 
@@ -396,7 +396,6 @@ _COVERED_OPS = [
     cotangent.icot_power,
     cotangent.cot_derivative_poly,
     cotangent.cotangent_number,
-    coordinates._ramanujan_sums,
     coordinates._traces,
     coordinates._definitional_buckets,
     coordinates.coord_cotangent_closed,
