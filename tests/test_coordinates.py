@@ -251,6 +251,18 @@ def test_batched_defining_sums_match_the_one_element_sum():
     assert coords_definitional_many(7, []) == []
 
 
+def test_ramanujan_sums_are_the_traces_of_the_roots():
+    """The traces of 1 are the Ramanujan sums: _traces(1)[j], from the
+    divisor form, is the exact sum of zeta_n^(jk) over the units k mod n,
+    at every j < n, for every n <= 60."""
+    for n in range(1, 61):
+        table = _traces.__wrapped__(CycElem.one(n))
+        assert len(table) == n
+        for j, c in enumerate(table):
+            trace = sum((CycElem.zeta(n, j * k) for k in units(n)), CycElem.zero(n))
+            assert trace == CycElem.from_rational(c, n), (n, j)
+
+
 def test_traces_are_den_times_the_traces_of_the_shifted_element():
     """_traces(a)[t] is den(a) times the exact rational sum of the
     conjugates galois(k) of zeta_n^t a over the units k mod n, for every

@@ -214,6 +214,11 @@ _DEFINING_SUM_FAULTS = {
     "shift_l_for_l_n_over_f": ("(e, l * (n // f) % n)", "(e, l % n)"),
     "mobius_sign_dropped": ("(d, -d)", "(d, d)"),
     "residue_class_off_by_one": ("S[-t % d]", "S[(1 - t) % d]"),
+    # c_n(1) one too large: T(t) gains the coefficient a_i at i = 1 - t mod n
+    # (zero when i >= phi(n))
+    "ramanujan_sum_c_n_1_off_by_one": (
+        "T = [0] * n",
+        "T = [nums[(1 - t) % n] if (1 - t) % n < len(nums) else 0 for t in range(n)]"),
 }
 
 
