@@ -22,6 +22,7 @@ from .characters import (
     character_group,
     enumerate_characters,
     gauss_sum,
+    gauss_sum_float,
 )
 from .combinatorics import (
     bernoulli_conv_coeff,
@@ -108,6 +109,7 @@ __all__ = [
     "coord_power_primitive",
     "coords_definitional_many",
     "direct_sum_float",
+    "gauss_sum_float",
     "reconstruct",
     "cot_derivative_poly",
     "cotangent_number",

@@ -22,6 +22,7 @@ multiplicative order of the character.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import NamedTuple
@@ -266,10 +267,11 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
 def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (exponent, coefficient) pairs of tau(chi) in
     Z[x]/(x^L - 1), ascending, for chi primitive with modulus and order
-    dividing L: the term list reconstruction hands to _cyclic_mul, and the
-    vector of gauss_sum.  chi(k) zeta_f^k sits at (L/m)*e + (L/f)*k mod L,
-    so it takes phi(f) steps, not L.  Memoized, as reconstruction meets
-    each (chi, L) once per element."""
+    dividing L: the term list reconstruction hands to _cyclic_mul, the
+    vector of gauss_sum and the terms gauss_sum_float adds up.
+    chi(k) zeta_f^k sits at (L/m)*e + (L/f)*k mod L, so it takes phi(f)
+    steps, not L.  Memoized, as reconstruction meets each (chi, L) once
+    per element."""
     stride_f = L // chi.modulus
     stride_m = L // chi.order
     terms: dict[int, int] = {}
@@ -279,20 +281,41 @@ def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ..
     return tuple(sorted(terms.items()))
 
 
+def _gauss_terms(chi: DirichletCharacter) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """J = lcm(f, m) and the term list of tau(chi) in Z[x]/(x^J - 1), for
+    chi primitive mod f; a non-primitive chi is rejected.  Unmemoized:
+    gauss_sum's memo keeps the sum and the float suite its double, and a
+    second copy as terms would only hold memory."""
+    f = chi.modulus
+    if chi.conductor() != f:
+        raise ValueError("a Gauss sum needs a primitive character")
+    J = math.lcm(f, chi.order)
+    return J, _gauss_support.__wrapped__(chi, J)
+
+
 @memo
 def gauss_sum(chi: DirichletCharacter) -> CycElem:
     """tau(chi) = sum_{k=1}^{f} chi(k) zeta_f^k for chi primitive mod f.
 
     The result lives in Q(zeta_lcm(f, m)).  Non-primitive characters are
-    rejected; pass primitive_part() first.
+    rejected; pass primitive_part() first.  The float suite does not
+    evaluate this residue: it takes tau from gauss_sum_float, which sums
+    the same term list in doubles.
     """
-    f = chi.modulus
-    if chi.conductor() != f:
-        raise ValueError("gauss_sum needs a primitive character")
-    J = math.lcm(f, chi.order)
+    J, terms = _gauss_terms(chi)
     vec = [0] * J
-    # unmemoized: this function's memo keeps the sum, and a second copy as
-    # terms would only hold memory
-    for i, c in _gauss_support.__wrapped__(chi, J):
+    for i, c in terms:
         vec[i] = c
     return CycElem._from_ints(J, vec)
+
+
+def gauss_sum_float(chi: DirichletCharacter) -> complex:
+    """tau(chi) in doubles, for chi primitive mod f: c exp(2 pi i j/J)
+    summed over the (j, c) of gauss_sum's term list, j ascending.
+
+    Its phi(f) terms give an error of about phi(f) ulps, far below the
+    4 phi(J) sum|coeffs| 2^-52 bound of gauss_sum(chi).complex_eval(),
+    and no residue mod Phi_J is built.
+    """
+    J, terms = _gauss_terms(chi)
+    return sum(c * cmath.exp(2j * math.pi * i / J) for i, c in terms)

@@ -16,10 +16,10 @@ once, then one bucket sum per Galois orbit of characters, the other
 members by CycElem.galois.  Exact suites never consult floating
 point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
-the coordinate and the Gauss sum, each evaluated in its own field.  It
-evaluates tau(chi_f) once per primitive character in a run, not once per
-character, modulus or exponent, and its direct sums read per-n and per-m
-tables of doubles, which changes no value.
+the coordinate evaluated in its field and the Gauss sum summed from its
+phi(f) terms.  It sums tau(chi_f) once per primitive character in a run,
+not once per character, modulus or exponent, and its direct sums read
+per-n and per-m tables of doubles, which changes no value.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -33,7 +33,7 @@ import time
 from typing import Callable, Iterable, NamedTuple
 
 from .arith import is_prime
-from .characters import enumerate_characters, gauss_sum
+from .characters import enumerate_characters, gauss_sum_float
 from .combinatorics import (
     BRUTEFORCE_LIMIT,
     bernoulli_conv_coeff,
@@ -223,18 +223,19 @@ def suite_primitive_closed_form(config: SuiteConfig):
 
 @_recorded
 def suite_float_crosscheck(config: SuiteConfig):
-    """|direct float character sum - complex_eval(y) * complex_eval(tau)| < tolerance.
+    """|direct float character sum - complex_eval(y) * gauss_sum_float(chi_f)| < tolerance.
 
     The right side multiplies two doubles: the coordinate
-    y(conj(chi) | (i cot)^r) evaluated in Q(zeta_m) and tau(chi_f) in
-    Q(zeta_lcm(f, m)), never their exact product.  The match binds
-    complex_eval (and the defining identities) to an independent
-    double-precision computation; it never adjudicates the exact paths.
-    tau(chi_f) is evaluated once per primitive character in a run, kept in
-    a dict local to the run and shared by every modulus and r, and
-    direct_sum_float reads its cotangent and root-of-unity doubles from
-    per-n and per-m tables, so every value is the one the per-case
-    computation gives.  A case past the double range raises ValueError.
+    y(conj(chi) | (i cot)^r) evaluated in Q(zeta_m) and tau(chi_f) summed
+    from the phi(f) terms of gauss_sum's term list, never their exact
+    product.  The match binds complex_eval and that term list (and the
+    defining identities) to an independent double-precision computation;
+    it never adjudicates the exact paths.  tau(chi_f) is summed once per
+    primitive character in a run, kept in a dict local to the run and
+    shared by every modulus and r, and direct_sum_float reads its
+    cotangent and root-of-unity doubles from per-n and per-m tables, so
+    every value is the one the per-case computation gives.  A case past
+    the double range raises ValueError.
     """
     tol = config.float_tolerance
     tau_of = {}  # chi_f -> tau(chi_f) as a double
@@ -244,7 +245,7 @@ def suite_float_crosscheck(config: SuiteConfig):
         parts = [chi.primitive_part() for chi in chars]
         for chif in parts:
             if chif not in tau_of:
-                tau_of[chif] = gauss_sum(chif).complex_eval()
+                tau_of[chif] = gauss_sum_float(chif)
         values = [chi.unit_values() for chi in chars]
         powers = range(1, config.float_r_max + 1)
         coords = coords_definitional_many(n, [icot_power(r, n) for r in powers])

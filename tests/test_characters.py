@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from charcoords.arith import divisors, units
+from charcoords.arith import divisors, euler_phi, units
 from charcoords.characters import (
     _gauss_support,
     character_group,
     enumerate_characters,
     gauss_sum,
+    gauss_sum_float,
 )
 from charcoords.cyclotomic import CycElem, _combination, to_common_order
 from charcoords.memo import clear_memos
@@ -301,6 +302,22 @@ def test_gauss_sum_matches_defining_sum():
             for k in units(f):
                 total = total + chi.eval(k).embed(J) * CycElem.zeta(f, k).embed(J)
             assert gauss_sum(chi) == total
+
+
+def test_gauss_sum_float_is_the_double_of_the_exact_residue():
+    """On every primitive character of conductor <= 50, the float suite's
+    range, the double summed from the phi(f) terms and the double of the
+    exact residue in Q(zeta_J) agree within the sum of their bounds:
+    4 phi(J) sum|coeffs| 2^-52 (complex_eval's) and 4 phi(f) 2^-52.  The
+    float suite no longer evaluates the residue, so this ties it to a
+    double."""
+    primitive = {chi.primitive_part() for n in range(2, 51) for chi in enumerate_characters(n)}
+    assert len(primitive) == 471
+    for chi in primitive:
+        tau = gauss_sum(chi)
+        bound = (4 * euler_phi(tau.order) * sum(map(abs, tau.nums)) / tau.den
+                 + 4 * euler_phi(chi.modulus)) * 2.0 ** -52
+        assert abs(tau.complex_eval() - gauss_sum_float(chi)) <= bound, chi
 
 
 def test_gauss_support_is_the_nonzero_part_of_the_dense_sum():

@@ -109,14 +109,20 @@ def test_config_rejects_checks_that_cannot_fail(override):
         config_with_overrides(MINI, **override)
 
 
-@pytest.mark.parametrize("fault", ["conjugate_gauss_sum", "conjugate_root"])
+@pytest.mark.parametrize("fault", ["conjugate_gauss_sum", "gauss_terms_shifted", "conjugate_root"])
 def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
-    """A wrong factor or a wrong evaluation shows as a failure far above the
-    tolerance: each case's right side multiplies two evaluated factors."""
+    """A wrong factor, a wrong term of it or a wrong evaluation shows as a
+    failure far above the tolerance: each case's right side multiplies two
+    evaluated factors."""
     if fault == "conjugate_gauss_sum":
         # tau(conj(chi_f)) in place of tau(chi_f)
-        monkeypatch.setattr(verify, "gauss_sum",
-                            lambda chi: characters.gauss_sum(chi.conjugate()))
+        monkeypatch.setattr(verify, "gauss_sum_float",
+                            lambda chi: characters.gauss_sum_float(chi.conjugate()))
+    elif fault == "gauss_terms_shifted":
+        # chi(k) zeta_f^(k + 1) in place of chi(k) zeta_f^k in the term list
+        support = characters._gauss_support.__wrapped__
+        monkeypatch.setattr(characters._gauss_support, "__wrapped__", lambda chi, L: tuple(sorted(
+            ((i + L // chi.modulus) % L, c) for i, c in support(chi, L))))
     else:
         # every element evaluated at the conjugate root exp(-2 pi i/N)
         evaluate = CycElem.complex_eval
@@ -134,8 +140,8 @@ def test_float_crosscheck_evaluates_each_gauss_sum_once(monkeypatch):
     """tau(chi_f) is evaluated once per primitive part, not per character:
     the 45 characters mod n <= 12 have 27 distinct primitive parts."""
     calls = []
-    original = verify.gauss_sum
-    monkeypatch.setattr(verify, "gauss_sum", lambda chi: calls.append(chi) or original(chi))
+    original = verify.gauss_sum_float
+    monkeypatch.setattr(verify, "gauss_sum_float", lambda chi: calls.append(chi) or original(chi))
     result = verify.SUITES["float_crosscheck"](config_with_overrides(MINI, float_n_max=12))
     assert result.passed
     chars = [chi for n in range(2, 13) for chi in characters.enumerate_characters(n)]
@@ -284,8 +290,8 @@ def test_float_crosscheck_records_the_literal_two_factor_errors():
     record, and each record's error is the literal |direct sum - y * tau|."""
     def literal_error(chi, r):
         y = coordinates.coord_definitional(chi.conjugate(), cotangent.icot_power(r, chi.modulus))
-        tau = characters.gauss_sum(chi.primitive_part())
-        return abs(coordinates.direct_sum_float(chi, r) - y.complex_eval() * tau.complex_eval())
+        tau = characters.gauss_sum_float(chi.primitive_part())
+        return abs(coordinates.direct_sum_float(chi, r) - y.complex_eval() * tau)
 
     cfg = config_with_overrides(MINI, suites=("float_crosscheck",), float_tolerance=1e-300,
                                 float_n_max=12, float_r_max=3)
@@ -371,7 +377,8 @@ def test_result_json_shape():
 
 # every public operation of the computational modules, by defining code object;
 # for the defining sum, the per-orbit bucket sum the suites run in coord_definitional's place,
-# and for a character value, the exponent the paths read in place of its CycElem (eval)
+# for a character value, the exponent the paths read in place of its CycElem (eval),
+# and for a Gauss sum, the double the float suite sums from gauss_sum's term list in its place
 _COVERED_OPS = [
     cyclotomic.cyclotomic_polynomial,
     CycElem.__add__,
@@ -388,7 +395,7 @@ _COVERED_OPS = [
     characters.DirichletCharacter.parity,
     characters.DirichletCharacter.conductor,
     characters.DirichletCharacter.primitive_part,
-    characters.gauss_sum,
+    characters.gauss_sum_float,
     bernoulli.bernoulli_number,
     bernoulli.bernoulli_polynomial,
     bernoulli.generalized_bernoulli,
