@@ -121,11 +121,15 @@ BRUTEFORCE_LIMIT = 12
 def bernoulli_conv_coeff_bruteforce(r: int, j: int) -> Fraction:
     """Same value as bernoulli_conv_coeff by literal enumeration of the
     nonnegative tuples (j_1, ..., j_r) with j + 2*sum(j_t) = r, each
-    contributing the Fraction product of B_(2 j_t)/(2 j_t)! over its parts.
+    contributing the product of B_(2 j_t)/(2 j_t)! over its parts.
 
-    The factors B_2i/(2i)!, i <= (r-j)/2, are tabulated once per call; every
-    composition is enumerated and its product formed.  Exponential in r;
-    kept as an independent oracle, limited to r <= BRUTEFORCE_LIMIT.
+    The factors B_2i/(2i)!, i <= w = (r-j)/2, are tabulated once per call
+    as integers over D, the lcm of their denominators; every composition is
+    enumerated and its product formed in integers over D^w: a tuple with
+    c nonzero parts (c <= w, as the parts sum to w) is the product of their
+    integer factors times D^(w-c).  The total over D^w is the one Fraction.
+    Exponential in r; kept as an independent oracle, limited to
+    r <= BRUTEFORCE_LIMIT.
     """
     if r < 1:
         raise ValueError("bernoulli_conv_coeff_bruteforce needs r >= 1")
@@ -135,14 +139,19 @@ def bernoulli_conv_coeff_bruteforce(r: int, j: int) -> Fraction:
         return Fraction(0)
     w = (r - j) // 2
     factor = [bernoulli_number(2 * i) / math.factorial(2 * i) for i in range(w + 1)]
-    total = Fraction(0)
+    D = math.lcm(*(f.denominator for f in factor))
+    scaled = [f.numerator * (D // f.denominator) for f in factor]
+    pad = [D ** (w - c) for c in range(w + 1)]
+    total = 0
     for tup in _compositions(w, r):
-        prod = Fraction(1)
+        prod = 1
+        c = 0
         for jt in tup:
             if jt:  # a part jt = 0 contributes B_0/0! = 1
-                prod *= factor[jt]
-        total += prod
-    return total
+                prod *= scaled[jt]
+                c += 1
+        total += prod * pad[c]
+    return Fraction(total, D**w)
 
 
 def coeff_bridge(r: int, j: int) -> Fraction:

@@ -7,6 +7,13 @@ modulo the N-th cyclotomic polynomial Phi_N: phi(N) integer numerators of
 are equal field elements.  Every operation is a pure function.  A sum or
 a rational multiple is one _combination call, as in the closed forms.
 
+Every element is made canonical by one step, CycElem._set, which reads
+one memo per order, _residue_plan: phi(N), the nonzero terms of Phi_N and
+the input length from which the packed kernel reduces.  An input of at
+most phi(N) ints is padded and never enters a reduction loop.  The zero of
+each order is one memoized instance (CycElem.zero), and galois returns a
+zero unchanged, as it returns any element for k = 1.
+
 Orders are never coerced silently: combining two CycElem values of
 different orders raises; use :func:`to_common_order` (which embeds both
 into Q(zeta_lcm)) first.  Plain ``int``/``Fraction`` scalars are the one
@@ -145,19 +152,21 @@ def _cofactor(N: int) -> tuple[tuple[int, ...], int]:
 
 
 @memo
-def _phi_terms(N: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (exponent, coefficient) pairs of Phi_N below its leading
-    term."""
-    return tuple((i, q) for i, q in enumerate(cyclotomic_polynomial(N)[:-1]) if q)
+def _residue_plan(N: int) -> tuple[int, tuple[tuple[int, int], ...], float]:
+    """What a reduction modulo Phi_N reads, once per build: (phi(N), the
+    nonzero (exponent, coefficient) pairs of Phi_N below its leading term,
+    the input length from which _reduce_mod_phi takes the packed kernel)."""
+    d = euler_phi(N)
+    nz = tuple((i, q) for i, q in enumerate(cyclotomic_polynomial(N)[:-1]) if q)
+    return d, nz, d + _KRONECKER_MIN if len(nz) >= _KRONECKER_MIN else math.inf
 
 
 def _schoolbook_reduce(coeffs: Sequence[int], N: int) -> list[int]:
     """Reduce an integer coefficient list modulo Phi_N, one eliminated
     coefficient at a time; any length in, exactly phi(N) ints out."""
-    d = euler_phi(N)
+    d, nz, _ = _residue_plan(N)
     v = list(coeffs)
     if len(v) > d:
-        nz = _phi_terms(N)
         for e in range(len(v) - 1, d - 1, -1):
             c = v[e]
             if c:
@@ -312,12 +321,18 @@ def _packed_moduli(N: int, nb: int) -> tuple[int, int]:
     return _pack(_cofactor(N)[0], nb), _pack(cyclotomic_polynomial(N), nb)
 
 
-def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> list[int]:
+def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> Sequence[int]:
     """Reduce an integer coefficient list modulo Phi_N (monic, integral).
 
-    Accepts any length; returns an int list of length exactly phi(N).
+    Accepts any length; returns exactly phi(N) ints: coeffs itself at that
+    length, and a shorter input padded with zeros, neither of which enters
+    a reduction loop.
     """
-    if min(len(coeffs) - euler_phi(N), len(_phi_terms(N))) >= _KRONECKER_MIN:
+    d, _, packed_from = _residue_plan(N)
+    n = len(coeffs)
+    if n <= d:
+        return coeffs if n == d else [*coeffs, *[0] * (d - n)]
+    if n >= packed_from:
         return _kronecker_reduce(coeffs, None, N)
     return _schoolbook_reduce(coeffs, N)
 
@@ -347,9 +362,7 @@ class CycElem(_Scaled):
     def _set(self, order: int, ints: Sequence[int], den: int = 1) -> None:
         """Store sum(ints[i] * zeta_N^i) / den, for any length of ints and
         den > 0, as a reduced residue."""
-        if len(ints) != euler_phi(order):
-            ints = _reduce_mod_phi(ints, order)
-        self._store(ints, den, order)
+        self._store(_reduce_mod_phi(ints, order), den, order)
 
     # -- constructors ------------------------------------------------------
 
@@ -371,9 +384,10 @@ class CycElem(_Scaled):
         power %= order
         return cls._from_ints(order, [0] * power + [1])
 
-    @classmethod
-    def zero(cls, order: int = 1) -> "CycElem":
-        return cls.from_rational(0, order)
+    @staticmethod
+    def zero(order: int = 1) -> "CycElem":
+        """The zero of Q(zeta_N): one memoized instance per order."""
+        return _zero(order)
 
     @classmethod
     def one(cls, order: int = 1) -> "CycElem":
@@ -464,7 +478,7 @@ class CycElem(_Scaled):
         k %= N
         if math.gcd(k, N) != 1:
             raise ValueError("galois exponent %d is not coprime to %d" % (k, N))
-        if k == 1 or N == 1:
+        if k == 1 or N == 1 or self.is_zero:
             return self
         v = [0] * N
         for i, c in enumerate(self.nums):
@@ -520,6 +534,11 @@ class CycElem(_Scaled):
 
     def __repr__(self):
         return "CycElem(order=%d, coeffs=(%s))" % (self.order, ", ".join(self.coeff_strings()))
+
+
+@memo
+def _zero(order: int) -> CycElem:
+    return CycElem._from_ints(order, (), 1)
 
 
 def _combination(m: int, pairs: list[tuple[CycElem, int | Fraction]]) -> CycElem:

@@ -10,7 +10,11 @@ convolution recurrence.  A series is a tuple of integer numerators over one
 denominator, a value of :class:`charcoords.arith._Scaled` (lowest terms,
 equality of fields, immutability, and the zero test, negation and
 subtraction), so a product is one integer product of the numerator lists
-and a sum one integer sum over the lcm of the two denominators.
+and a sum one integer sum over the lcm of the two denominators.  Only the
+inverse runs in Fractions, one _inverse_step per coefficient; the
+coefficients of 1/(1 - e^t), which every identity here reads, are such
+steps grown once per process as one memo.recurrence, so a series of any
+horizon is read off its rows rather than inverted afresh.
 
 A :class:`LaurentSeries` knows its coefficients for exponents
 ``low .. prec-1`` and refuses to answer beyond ``prec`` (raising
@@ -25,6 +29,7 @@ from typing import Sequence
 
 from .arith import TruncationError, _Scaled, _power, _scaled_ints, _schoolbook_mul
 from .combinatorics import cot_power_coeff, stirling_first_unsigned
+from .memo import recurrence
 
 
 class LaurentSeries(_Scaled):
@@ -123,26 +128,15 @@ class LaurentSeries(_Scaled):
         return LaurentSeries._from_ints(self.low - 1, out, self.den, self.prec - 1)
 
     def inverse(self) -> "LaurentSeries":
-        """Inverse of a series whose lowest known coefficient is nonzero.
-
-        The recurrence inv_k = -(sum_{i=1..k} a_i inv_(k-i)) / a_0, on the
-        integer numerators a_i and starting from inv_0 = den / a_0, keeps
-        every inv_k a reduced Fraction: only the sum inside one step is
-        taken over the lcm of its denominators, and only the result is put
-        over one denominator.  Carried over one common denominator, inv_k
-        would hold a_0^(k+1), and a_0 of the exponential series in
-        :func:`series_one_minus_exp_inv` (M) is (M+2)!, so the integers
-        would blow up.
-        """
+        """Inverse of a series whose lowest known coefficient is nonzero:
+        from inv_0 = den / a_0, each coefficient is one _inverse_step on
+        the integer numerators a_i."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of a series with no known terms")
         a = self.nums
         inv = [Fraction(self.den, a[0])]
-        for k in range(1, len(a)):
-            terms = [(a[i] * inv[k - i].numerator, inv[k - i].denominator)
-                     for i in range(1, k + 1) if a[i]]
-            den = math.lcm(*(d for _, d in terms))
-            inv.append(Fraction(-sum(n * (den // d) for n, d in terms), den * a[0]))
+        while len(inv) < len(a):
+            inv.append(_inverse_step(inv, lambda i: (a[i], 1)))
         return LaurentSeries(-self.low, inv, -self.low + len(a))
 
     def agrees_through(self, other: "LaurentSeries", e_max: int) -> bool:
@@ -167,20 +161,49 @@ class LaurentSeries(_Scaled):
         return "LaurentSeries({%s}, O(t^%d))" % (inner, self.prec)
 
 
+def _inverse_step(inv: list[Fraction], a) -> Fraction:
+    """inv_k, k = len(inv) >= 1, of the inverse of sum a_i t^i from
+    inv_0..inv_(k-1): -(sum_{i=1..k} a_i inv_(k-i)) / a_0, for a(i) the
+    integer pair (numerator, denominator) of a_i and a_0 != 0.
+
+    Every inv_k stays a reduced Fraction: only the sum inside the step is
+    taken over the lcm of its denominators, and only the result is put
+    over one denominator.  Carried over one common denominator, inv_k
+    would hold a_0^(k+1), and a_0 of w = (e^t - 1)/t through t^(M+1) as a
+    LaurentSeries (integer numerators over one denominator) is (M+2)!, so
+    the integers would blow up.
+    """
+    k = len(inv)
+    terms = []
+    for i in range(1, k + 1):
+        n, d = a(i)
+        if n:
+            p = inv[k - i]
+            terms.append((n * p.numerator, d * p.denominator))
+    den = math.lcm(*(d for _, d in terms))
+    n0, d0 = a(0)
+    return Fraction(-d0 * sum(n * (den // d) for n, d in terms), den * n0)
+
+
+# row k: the coefficient of t^k in 1/w, w = (e^t - 1)/t = sum t^i/(i+1)!,
+# each row one step of the inverse, grown once per process
+_exp_quotient_inverse = recurrence(
+    lambda: Fraction(1), lambda inv: _inverse_step(inv, lambda i: (1, math.factorial(i + 1)))
+)
+
+
 def series_one_minus_exp_inv(M: int) -> LaurentSeries:
     """Laurent expansion of 1/(1 - e^t) around t = 0, known through t^M.
 
-    Built from the exponential series and series inversion: the function
-    has a simple pole with residue -1, constant term 1/2 and t-coefficient
-    -1/12 (matching -B_2/2!).
+    1 - e^t = -t * w for w = (e^t - 1)/t, so 1/(1 - e^t) = -t^(-1) / w,
+    read off the M + 2 rows of 1/w that _exp_quotient_inverse grows once:
+    the function has a simple pole with residue -1, constant term 1/2 and
+    t-coefficient -1/12 (matching -B_2/2!).
     """
     if M < 2:
         raise ValueError("need M >= 2")
-    w = LaurentSeries.from_terms(
-        0, (Fraction(1, math.factorial(k + 1)) for k in range(M + 2))
-    )
-    # 1 - e^t = -t * w  =>  1/(1 - e^t) = -t^(-1) * w^(-1)
-    return -(w.inverse().shift(-1))
+    nums, den = _scaled_ints([_exp_quotient_inverse(k) for k in range(M + 2)])
+    return LaurentSeries._from_ints(-1, [-c for c in nums], den, M + 1)
 
 
 def series_icot_half(M: int) -> LaurentSeries:

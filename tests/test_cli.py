@@ -468,6 +468,17 @@ def test_series_verify_reports_a_planted_fault(capsys, monkeypatch):
     assert _run_masked(capsys, _VERIFY_SPELLINGS[checker]) == (code, out, err)
 
 
+def test_series_oracle_exits_1_on_a_flipped_row_of_one_minus_exp_inv(capsys, monkeypatch):
+    # row 4 of 1/w, w = (e^t - 1)/t, is B_4/4!; with its sign flipped the grown
+    # 1/(1 - e^t) is wrong at t^3, and each identity that reads the series fails
+    row = series._exp_quotient_inverse
+    monkeypatch.setattr(series, "_exp_quotient_inverse", lambda k: -row(k) if k == 4 else row(k))
+    code, out, err = run_cli(capsys, "verify", "series_oracle", "--format", "json")
+    assert (code, err) == (1, "")
+    failed = {f["inputs"]["identity"] for f in json.loads(out)["suites"][0]["failures"]}
+    assert failed == {"stirling", "power_decomposition", "conv_vs_series"}
+
+
 @pytest.mark.parametrize("name, fault, argv, record", [
     ("cot_power_coeff", lambda r, j: r == 2, "--set stirling_k_max=0 --set decomposition_r_max=3",
      {"suite": "series_oracle", "inputs": {"identity": "power_decomposition", "order": 8, "r": 2},

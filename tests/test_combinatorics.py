@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from charcoords.combinatorics import (
+    BRUTEFORCE_LIMIT,
     bernoulli_conv_coeff,
     bernoulli_conv_coeff_bruteforce,
     coeff_bridge,
@@ -106,11 +107,11 @@ def test_conv_coeff_values():
 
 
 def test_conv_coeff_against_bruteforce():
-    for r in range(1, 9):
+    for r in range(1, BRUTEFORCE_LIMIT + 1):
         for j in range(1, r + 1):
             assert bernoulli_conv_coeff(r, j) == bernoulli_conv_coeff_bruteforce(r, j)
     with pytest.raises(ValueError):
-        bernoulli_conv_coeff_bruteforce(13, 1)
+        bernoulli_conv_coeff_bruteforce(BRUTEFORCE_LIMIT + 1, 1)
 
 
 def test_bridge_examples():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcoords import cyclotomic
-from charcoords.arith import divisors, euler_phi
+from charcoords.arith import divisors, euler_phi, units
 from charcoords.characters import enumerate_characters, gauss_sum
 from charcoords.coordinates import coords_definitional_many
 from charcoords.cotangent import icot_power
@@ -96,6 +96,25 @@ def test_galois_examples():
     assert lhs == (1 + z52) * (1 - z52).inverse()
     with pytest.raises(ValueError):
         z4.galois(2)
+
+
+def test_zero_is_one_instance_per_order():
+    for N in range(1, 61):
+        zero = CycElem.zero(N)
+        assert zero is CycElem.zero(N)
+        assert zero == CycElem.from_rational(0, N) and zero.is_zero and zero.order == N
+    with pytest.raises(ValueError):
+        CycElem.zero(0)
+
+
+def test_galois_of_zero_is_zero():
+    for N in range(1, 61):
+        for k in units(N):
+            assert CycElem.zero(N).galois(k) is CycElem.zero(N)
+            assert CycElem.from_rational(0, N).galois(k) == CycElem.zero(N)
+        if N > 2:
+            with pytest.raises(ValueError):
+                CycElem.zero(N).galois(N)
 
 
 def test_galois_composition():
@@ -453,6 +472,25 @@ def test_kronecker_reduce_matches_schoolbook(case):
     assert len(expected) == euler_phi(N)
     assert cyclotomic._kronecker_reduce(v, None, N) == expected
     assert cyclotomic._reduce_mod_phi(v, N) == expected
+
+
+def test_reduce_mod_phi_matches_schoolbook_at_every_length():
+    """Every order up to 40 and every input length from 0 to 2N: padded
+    below phi(N), unchanged at it, and through the schoolbook loop or the
+    packed kernel above it."""
+    kernels = set()
+    for N in range(1, 41):
+        d, _, packed_from = cyclotomic._residue_plan(N)
+        assert d == euler_phi(N)
+        rng = random.Random(N)
+        for n in range(2 * N + 1):
+            v = [rng.choice((0, rng.randint(-9, 9), rng.randint(-(2**70), 2**70))) for _ in range(n)]
+            expected = cyclotomic._schoolbook_reduce(v, N)
+            assert len(expected) == d
+            assert list(cyclotomic._reduce_mod_phi(v, N)) == expected, (N, n)
+            kernels.add("pad" if n < d else "none" if n == d else
+                        "packed" if n >= packed_from else "schoolbook")
+    assert kernels == {"pad", "none", "schoolbook", "packed"}
 
 
 @st.composite

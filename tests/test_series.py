@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from charcoords.bernoulli import bernoulli_number
 from charcoords.combinatorics import bernoulli_conv_coeff
+from charcoords.memo import clear_memos
 from charcoords.series import (
     LaurentSeries,
     TruncationError,
@@ -29,6 +30,24 @@ def test_one_minus_exp_inv_coefficients():
         assert g.coefficient(e) == -bernoulli_number(e + 1) / math.factorial(e + 1)
     with pytest.raises(ValueError):
         series_one_minus_exp_inv(1)
+
+
+def test_grown_one_minus_exp_inv_is_a_fresh_inverse():
+    """1/(1 - e^t) read off the rows grown once equals -t^-1 times a fresh
+    LaurentSeries.inverse of w = (e^t - 1)/t at every M, whether the rows
+    grow at once (M descending) or one at a time (M ascending after the
+    memos are emptied)."""
+    def fresh(M):
+        w = LaurentSeries.from_terms(0, (F(1, math.factorial(k + 1)) for k in range(M + 2)))
+        return -(w.inverse().shift(-1))
+
+    expected = {M: fresh(M) for M in range(2, 61)}
+    clear_memos()
+    for M in [*range(60, 1, -1), *range(2, 61)]:
+        assert series_one_minus_exp_inv(M) == expected[M], M
+    clear_memos()
+    for M in range(2, 61):
+        assert series_one_minus_exp_inv(M) == expected[M], M
 
 
 def test_icot_half_series():
