@@ -264,33 +264,24 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
 
 
 @memo
-def _gauss_support(chi: DirichletCharacter, L: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (exponent, coefficient) pairs of tau(chi) in
-    Z[x]/(x^L - 1), ascending, for chi primitive with modulus and order
-    dividing L: the term list reconstruction hands to _cyclic_mul, the
-    vector of gauss_sum and the terms gauss_sum_float adds up.
-    chi(k) zeta_f^k sits at (L/m)*e + (L/f)*k mod L, so it takes phi(f)
-    steps, not L.  Memoized, as reconstruction meets each (chi, L) once
-    per element."""
-    stride_f = L // chi.modulus
-    stride_m = L // chi.order
-    terms: dict[int, int] = {}
-    for k, e in chi.unit_values():
-        i = (stride_m * e + stride_f * k) % L
-        terms[i] = terms.get(i, 0) + 1
-    return tuple(sorted(terms.items()))
-
-
 def _gauss_terms(chi: DirichletCharacter) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """J = lcm(f, m) and the term list of tau(chi) in Z[x]/(x^J - 1), for
-    chi primitive mod f; a non-primitive chi is rejected.  Unmemoized:
-    gauss_sum's memo keeps the sum and the float suite its double, and a
-    second copy as terms would only hold memory."""
+    """J = lcm(f, m) and the nonzero (exponent, coefficient) pairs of tau(chi)
+    in Z[x]/(x^J - 1), ascending, for chi primitive mod f; a non-primitive
+    chi is rejected.  chi(k) zeta_f^k sits at (J/m)*e + (J/f)*k mod J, so
+    the list takes phi(f) steps, not J.  The one term list of a Gauss sum:
+    gauss_sum's vector, the terms gauss_sum_float adds up, and, at stride
+    L/J, the factor reconstruction hands to cyclotomic._cyclic_sum."""
     f = chi.modulus
     if chi.conductor() != f:
         raise ValueError("a Gauss sum needs a primitive character")
     J = math.lcm(f, chi.order)
-    return J, _gauss_support.__wrapped__(chi, J)
+    stride_f = J // f
+    stride_m = J // chi.order
+    terms: dict[int, int] = {}
+    for k, e in chi.unit_values():
+        i = (stride_m * e + stride_f * k) % J
+        terms[i] = terms.get(i, 0) + 1
+    return J, tuple(sorted(terms.items()))
 
 
 @memo

@@ -13,6 +13,7 @@ Everything here is exact rational arithmetic; no floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -107,12 +108,12 @@ def bernoulli_conv_coeff(r: int, j: int) -> Fraction:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every tuple of parts >= 1 nonnegative ints summing to total, once,
+    in lexicographic order: stars and bars, the parts - 1 bars placed
+    among total + parts - 1 slots, each part the stars between two bars."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 BRUTEFORCE_LIMIT = 12

@@ -28,12 +28,13 @@ the raw character sum used only to cross-check ``complex_eval``, never to
 adjudicate exact results.
 
 Only :func:`reconstruct` works in a common Q(zeta_L), L = lcm(n, every
-order), in Z[x]/(x^L - 1): it multiplies each embedded coordinate by the
-Gauss sum's terms (cyclotomic._cyclic_mul) and hands its vector unreduced
-to the tensor-basis projection, which builds no element of Q(zeta_L) and
-verifies membership of the result in Q(zeta_n) instead of assuming it,
-raising FieldMembershipError on any violation (an internal-consistency
-signal).  The defining sum builds no vector of length L: its buckets are
+order), in Z[x]/(x^L - 1): one cyclotomic._cyclic_sum of one pair of term
+lists per character, the coordinate's numerators at stride L/order and
+the Gauss sum's terms at stride L/J, builds the one vector it hands
+unreduced to the tensor-basis projection, which builds no element of
+Q(zeta_L) and verifies membership of the result in Q(zeta_n) instead of
+assuming it, raising FieldMembershipError on any violation (an
+internal-consistency signal).  The defining sum builds no vector of length L: its buckets are
 an element of Q(zeta_m) by construction, so no membership check guards
 it.  A wrong definitional value is caught by the verify suites, which
 compare it with the closed forms, and by the tests, which compare it with
@@ -109,7 +110,7 @@ sum of the e(p) over p | d, and
 
 one term (e(d), mu(d) (R/d)^j) per squarefree d | R, over R^j.  The
 numerators of B_(j, chi_f) times these terms in Z[x]/(x^m - 1), one
-cyclotomic._cyclic_mul at length m, are the buckets, over j f^j R^j
+cyclotomic._cyclic_sum at length m, are the buckets, over j f^j R^j
 times the denominator of B.  The power forms are rational combinations
 of those values (or of Bernoulli numbers): their numerators are summed
 over the lcm of the denominators.
@@ -124,10 +125,10 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .arith import euler_phi, prime_factors, units
 from .bernoulli import generalized_bernoulli
-from .characters import DirichletCharacter, _gauss_support, enumerate_characters
+from .characters import DirichletCharacter, _gauss_terms, enumerate_characters
 from .combinatorics import bernoulli_conv_coeff, cot_power_coeff
 from .cotangent import cotangent_number, icot_power
-from .cyclotomic import CycElem, _combination, _cyclic_mul, _mobius_divisors, _project_cyclic
+from .cyclotomic import CycElem, _combination, _cyclic_sum, _mobius_divisors, _project_cyclic
 from .memo import memo
 
 
@@ -168,7 +169,10 @@ def _definitional_buckets(chi: DirichletCharacter, elements: Sequence[CycElem],
     """y(chi|a) for each a in elements, from its traces T(t), t < n
     (traces[i] = _traces(elements[i])): the defining sum as a trace (module
     docstring), the phi(f) traces at t = l n/f, l a unit mod f, summed into
-    m integer buckets over f * den(a)."""
+    m integer buckets over f * den(a).  For even m, zeta_m^(m/2) = -1 folds
+    bucket e + m/2 onto bucket e; as chi_f(-l) = chi(-1) chi_f(l) and
+    T(-t) = +-T(t) for a real or imaginary a, a parity mismatch then sums to
+    all-zero buckets, which give the one zero of Q(zeta_m), unreduced."""
     chif = chi.primitive_part()
     n, f, m = chi.modulus, chif.modulus, chi.order
     terms = [(e, l * (n // f) % n) for l, e in chif.unit_values()]
@@ -178,7 +182,10 @@ def _definitional_buckets(chi: DirichletCharacter, elements: Sequence[CycElem],
         buckets = [0] * m
         for e, t in terms:
             buckets[e] += T[t]
-        out.append(CycElem._from_ints(m, buckets if sign > 0 else [-b for b in buckets], f * a.den))
+        if m % 2 == 0:
+            buckets = list(map(operator.sub, buckets[:m // 2], buckets[m // 2:]))
+        out.append(CycElem._from_ints(m, buckets if sign > 0 else [-b for b in buckets], f * a.den)
+                   if any(buckets) else CycElem.zero(m))
     return out
 
 
@@ -286,7 +293,7 @@ def coord_cotangent_closed(chi: DirichletCharacter, j: int) -> CycElem:
     b = _bernoulli_cached(j, chif)
     scale = chi.parity() * (2 * n) ** j
     terms = [(e, scale * mu * (R // d) ** j) for d, mu, e in divs]
-    prod = _cyclic_mul(list(b.nums) + [0] * (m - len(b.nums)), terms, m)
+    prod = _cyclic_sum([(enumerate(b.nums), terms)], m)
     return CycElem._from_ints(m, prod, j * f**j * R**j * b.den)
 
 
@@ -386,17 +393,15 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
     for chi in chars:
         L = math.lcm(L, coords[chi].order, chi.order)
     den = math.lcm(*(coords[chi].den for chi in chars))
-    vec = [0] * L
+    pairs = []
     for chi in chars:
         y = coords[chi]
-        # y's nums at stride L/order represent y in Z[x]/(x^L - 1)
-        stride = L // y.order
-        dense = [0] * L
-        dense[:stride * len(y.nums):stride] = [c * (den // y.den) for c in y.nums]
-        taubar = chi.conjugate().primitive_part()
-        prod = _cyclic_mul(dense, _gauss_support(taubar, L), L)
-        vec = list(map(operator.add, vec, prod))
-    return _project_cyclic(vec, euler_phi(n) * den, L, n)
+        J, terms = _gauss_terms(chi.conjugate().primitive_part())
+        # y's nums at stride L/order and tau's terms at stride L/J represent
+        # y and tau in Z[x]/(x^L - 1)
+        pairs.append((zip(range(0, L, L // y.order), y.nums),
+                      [(L // J * i, den // y.den * c) for i, c in terms]))
+    return _project_cyclic(_cyclic_sum(pairs, L), euler_phi(n) * den, L, n)
 
 
 @memo

@@ -34,11 +34,10 @@ Below _KRONECKER_MIN coefficients in the shorter factor (for a reduction:
 the quotient, or the nonzero terms of Phi_N) packing costs more than it
 saves, so the schoolbook loops stay for small fields and for sparse Phi_N
 such as those of prime-power orders; they are also the reference the
-tests compare the kernel against.  _cyclic_mul, the one product in the
-group ring Z[x]/(x^N - 1) (a dense vector times a short list of
-(exponent, coefficient) terms, as the coordinate paths multiply by a Gauss
-sum or an Euler product), is such a loop, over the nonzero entries of
-the vector and the terms.
+tests compare the kernel against.  _cyclic_sum, the one product in the
+group ring Z[x]/(x^N - 1), is such a loop: a sum of products of two
+(exponent, coefficient) term lists, as the coordinate paths multiply by a
+Gauss sum or an Euler product, over their nonzero terms only.
 
 Projection to a subfield (:func:`project_to_subfield`, and the coordinate
 paths, which hand over their raw vectors in Z[x]/(x^L - 1)) never reduces
@@ -70,7 +69,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .arith import InternalError, _Scaled, _power, _scaled_ints, _schoolbook_mul, divisors, euler_phi, prime_factors, units
 from .memo import memo
@@ -241,27 +240,20 @@ def _unpack(x: int, n: int, nb: int) -> list[int]:
     return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
 
 
-def _packed_product(
-    a: Sequence[int], b: Optional[Sequence[int]], N: int, gain: int
-) -> tuple[int, int]:
-    """(x, nb): the product a * b (just a when b is None) modulo x^N - 1,
-    packed with nb bytes per coefficient, where nb leaves room for every
-    coefficient to grow by the factor gain afterwards."""
-    bound = max(map(abs, a), default=0)
-    n = len(a)
-    if b is not None:
-        mb = max(map(abs, b), default=0)
-        # |(a*b)_k| <= max|a| * sum|b| and sum|a| * max|b|; the factors
-        # themselves must fit too when the other one is zero
-        prod = min(bound * sum(map(abs, b)), sum(map(abs, a)) * mb)
-        bound = max(prod, bound, mb)
-        n += len(b) - 1
-    folds = -(-n // N)
+def _packed_product(a: Sequence[int], b: Sequence[int], N: int, gain: int) -> tuple[int, int]:
+    """(x, nb): the product a * b modulo x^N - 1, packed with nb bytes per
+    coefficient, where nb leaves room for every coefficient to grow by the
+    factor gain afterwards.  With b = (1,) it is a alone, at the width
+    max|a| gives."""
+    ma, mb, sb = max(map(abs, a), default=0), max(map(abs, b), default=0), sum(map(abs, b))
+    # |(a*b)_k| <= max|a| * sum|b| and sum|a| * max|b|, the first the smaller
+    # when sum|b| = max|b| (b = (1,) among them), so sum|a| is then not read;
+    # the factors themselves must fit too when the other one is zero
+    prod = ma * sb if sb == mb else min(ma * sb, sum(map(abs, a)) * mb)
+    bound = max(prod, ma, mb)
+    folds = -(-(len(a) + len(b) - 1) // N)
     nb = _width(max(bound * folds, 1) * gain)
-    x = _pack(a, nb)
-    if b is not None:
-        x *= _pack(b, nb)
-    return _fold(x, folds, N, nb), nb
+    return _fold(_pack(a, nb) * _pack(b, nb), folds, N, nb), nb
 
 
 def _fold(x: int, folds: int, N: int, nb: int) -> int:
@@ -279,25 +271,29 @@ def _fold(x: int, folds: int, N: int, nb: int) -> int:
     return out + x
 
 
-def _cyclic_mul(vec: Sequence[int], terms: Sequence[tuple[int, int]], N: int) -> list[int]:
-    """vec * (sum of c x^t over the (t, c) in terms) in Z[x]/(x^N - 1), as
-    N ints, for vec dense of length N and every t in 0..N-1 (exponents may
-    repeat): term by term over the nonzero entries of vec, as the term list
-    is short (a Gauss sum has phi(f) terms, an Euler product one per
-    squarefree divisor)."""
+def _cyclic_sum(products: Iterable[tuple[Iterable[tuple[int, int]], Sequence[tuple[int, int]]]],
+                N: int) -> list[int]:
+    """The sum of a * b over the (a, b) in products, in Z[x]/(x^N - 1), as
+    N ints: a and b are lists of (exponent, coefficient) terms, every
+    exponent in 0..N-1 (exponents may repeat), and terms with coefficient
+    zero are skipped.  Term by term, as one list is short (a Gauss sum has
+    phi(f) terms, an Euler product one per squarefree divisor); a is read
+    once, b once per nonzero term of a."""
     out = [0] * N
-    for i, a in enumerate(vec):
-        if a:
-            for t, c in terms:
-                q = i + t
-                if q >= N:
-                    q -= N
-                out[q] += a * c
+    for a, b in products:
+        b = [(t, c) for t, c in b if c]
+        for i, x in a:
+            if x:
+                for t, c in b:
+                    q = i + t
+                    if q >= N:
+                        q -= N
+                    out[q] += x * c
     return out
 
 
-def _kronecker_reduce(a: Sequence[int], b: Optional[Sequence[int]], N: int) -> list[int]:
-    """a * b (just a when b is None) modulo Phi_N, as phi(N) ints: fold
+def _kronecker_reduce(a: Sequence[int], b: Sequence[int], N: int) -> list[int]:
+    """a * b modulo Phi_N, as phi(N) ints (a alone for b = (1,)): fold
     modulo x^N - 1, which Phi_N divides, then take the quotient from the
     top of the product with Psi_N (see _cofactor)."""
     x, nb = _packed_product(a, b, N, _cofactor(N)[1])
@@ -333,7 +329,7 @@ def _reduce_mod_phi(coeffs: Sequence[int], N: int) -> Sequence[int]:
     if n <= d:
         return coeffs if n == d else [*coeffs, *[0] * (d - n)]
     if n >= packed_from:
-        return _kronecker_reduce(coeffs, None, N)
+        return _kronecker_reduce(coeffs, (1,), N)
     return _schoolbook_reduce(coeffs, N)
 
 
@@ -581,13 +577,7 @@ def _tensor_axes(L: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
 
 def _project_cyclic(ints: Sequence[int], den: int, L: int, m: int) -> CycElem:
     """sum(ints[i] * zeta_L^i) / den as an element of Q(zeta_m), for L ints,
-    m | L and den > 0, or FieldMembershipError if it does not lie there."""
-    return CycElem._from_ints(m, _project_ints(ints, L, m), den)
-
-
-def _project_ints(ints: Sequence[int], L: int, m: int) -> list[int]:
-    """The m ints w with sum(ints[i] * zeta_L^i) = sum(w[i] * zeta_m^i), for
-    L ints and m | L, or FieldMembershipError if the value is not in Q(zeta_m).
+    m | L and den > 0, or FieldMembershipError if it does not lie there.
 
     The coordinates stay at their exponents: once every axis is reduced,
     the nonzero entries are the coordinates in the basis prod zeta_q^(d_q),
@@ -610,7 +600,7 @@ def _project_ints(ints: Sequence[int], L: int, m: int) -> list[int]:
     w = v[::L // m]
     if v.count(0) - w.count(0) != L - m:
         raise FieldMembershipError("value does not lie in Q(zeta_%d)" % m)
-    return w
+    return CycElem._from_ints(m, w, den)
 
 
 def project_to_subfield(a: CycElem, m: int) -> CycElem:

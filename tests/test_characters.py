@@ -4,7 +4,7 @@ import pytest
 
 from charcoords.arith import divisors, euler_phi, units
 from charcoords.characters import (
-    _gauss_support,
+    _gauss_terms,
     character_group,
     enumerate_characters,
     gauss_sum,
@@ -320,28 +320,27 @@ def test_gauss_sum_float_is_the_double_of_the_exact_residue():
         assert abs(tau.complex_eval() - gauss_sum_float(chi)) <= bound, chi
 
 
-def test_gauss_support_is_the_nonzero_part_of_the_dense_sum():
-    """A cold _gauss_support, read off the units, is a list of distinct
-    ascending exponents with positive unit counts summing to phi(f).  At
-    L = lcm(f, m) its terms c * zeta_L^i add up to the literal sum of
+def test_gauss_terms_are_the_nonzero_part_of_the_dense_sum():
+    """A cold _gauss_terms, read off the units, gives J = lcm(f, m) and a
+    list of distinct ascending exponents below J with positive unit counts
+    summing to phi(f); its terms c * zeta_J^i add up to the literal sum of
     chi(k) zeta_f^k over the units k, each term a product of CycElem.zeta
-    values; at L times 2 and 3 it is that support with every exponent
-    scaled, the embedding x -> x^2 or x^3.  For every primitive character
+    values; and gauss_sum is that element.  For every primitive character
     of conductor f <= 40."""
     for f in range(3, 41):
         for chi in enumerate_characters(f):
             if chi.conductor() != f:
                 continue
-            J = math.lcm(f, chi.order)
-            support = _gauss_support.__wrapped__(chi, J)
-            exponents = [i for i, _ in support]
+            J, terms = _gauss_terms.__wrapped__(chi)
+            assert J == math.lcm(f, chi.order)
+            exponents = [i for i, _ in terms]
             assert exponents == sorted(set(exponents)) and 0 <= exponents[0] and exponents[-1] < J
-            assert all(c > 0 for _, c in support) and sum(c for _, c in support) == len(units(f))
+            assert all(c > 0 for _, c in terms) and sum(c for _, c in terms) == len(units(f))
             literal = _combination(J, [(CycElem.zeta(chi.order, chi.value_exponent(k)).embed(J)
                                         * CycElem.zeta(f, k).embed(J), 1) for k in units(f)])
-            assert _combination(J, [(CycElem.zeta(J, i), c) for i, c in support]) == literal, (f, chi.index)
-            for s in (2, 3):
-                assert _gauss_support.__wrapped__(chi, s * J) == tuple((s * i, c) for i, c in support)
+            assert _combination(J, [(CycElem.zeta(J, i), c) for i, c in terms]) == literal, (f, chi.index)
+            assert gauss_sum(chi) == literal
+            assert _gauss_terms(chi) == (J, terms)
 
 
 def test_mod8_group_convention():

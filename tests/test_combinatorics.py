@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from charcoords.combinatorics import (
     BRUTEFORCE_LIMIT,
+    _compositions,
     bernoulli_conv_coeff,
     bernoulli_conv_coeff_bruteforce,
     coeff_bridge,
@@ -112,6 +114,17 @@ def test_conv_coeff_against_bruteforce():
             assert bernoulli_conv_coeff(r, j) == bernoulli_conv_coeff_bruteforce(r, j)
     with pytest.raises(ValueError):
         bernoulli_conv_coeff_bruteforce(BRUTEFORCE_LIMIT + 1, 1)
+
+
+def test_compositions_are_each_tuple_once():
+    """For total and parts up to 6, _compositions yields exactly the
+    itertools.product tuples whose parts sum to total, none twice."""
+    for total in range(7):
+        for parts in range(1, 7):
+            got = list(_compositions(total, parts))
+            assert len(got) == len(set(got))
+            expected = [t for t in itertools.product(range(total + 1), repeat=parts) if sum(t) == total]
+            assert sorted(got) == expected, (total, parts)
 
 
 def test_bridge_examples():

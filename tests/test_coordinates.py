@@ -200,6 +200,42 @@ def test_reconstruct_round_trip():
             assert reconstruct(wide, n) == a
 
 
+def test_reconstruct_is_the_literal_inversion_formula():
+    """reconstruct equals (1/phi(n)) sum over chi of
+    y(chi|a).embed(L) * gauss_sum(conj(chi)_f).embed(L), computed with public
+    operations and brought into Q(zeta_n) by project_to_subfield, for n <= 12
+    on (i cot)^r, r <= 4, and the cotangent numbers, j <= 4, with the
+    coordinates given in Q(zeta_m) and in Q(zeta_2m)."""
+    for n in range(2, 13):
+        chars = enumerate_characters(n)
+        for a in [icot_power(r, n) for r in range(1, 5)] + [cotangent_number(j, n) for j in range(1, 5)]:
+            coords = {chi: coord_definitional(chi, a) for chi in chars}
+            for ys in (coords, {chi: y.embed(2 * y.order) for chi, y in coords.items()}):
+                L = math.lcm(n, *(y.order for y in ys.values()))
+                total = CycElem.zero(L)
+                for chi, y in ys.items():
+                    total = total + y.embed(L) * gauss_sum(chi.conjugate().primitive_part()).embed(L)
+                literal = project_to_subfield(total * F(1, euler_phi(n)), n)
+                assert reconstruct(ys, n) == literal == a, (n, a)
+
+
+def test_parity_mismatch_is_the_one_zero():
+    """Every parity-mismatched (chi, a) of acceptance criterion 8, n <= 30:
+    the defining sum's buckets sum to zero and give the memoized zero of
+    Q(zeta_m) itself, with no reduction."""
+    cases = 0
+    for n in range(2, 31):
+        elements = [(0, CycElem.one(n))]
+        elements += [(r % 2, icot_power(r, n)) for r in range(1, 5)]
+        elements += [(j % 2, cotangent_number(j, n)) for j in range(1, 5)]
+        for oddness, a in elements:
+            for chi in enumerate_characters(n):
+                if chi.parity() == (-1) ** (oddness + 1):
+                    assert coord_definitional.__wrapped__(chi, a) is CycElem.zero(chi.order), (n, chi.index)
+                    cases += 1
+    assert cases == 1246
+
+
 def test_orbit_coordinates_match_definitional():
     """coords_definitional_many, one defining sum per Galois orbit and
     galois_s for the other members, equals the per-character defining sum

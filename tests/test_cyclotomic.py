@@ -470,7 +470,7 @@ def test_kronecker_reduce_matches_schoolbook(case):
     N, v = case
     expected = cyclotomic._schoolbook_reduce(v, N)
     assert len(expected) == euler_phi(N)
-    assert cyclotomic._kronecker_reduce(v, None, N) == expected
+    assert cyclotomic._kronecker_reduce(v, (1,), N) == expected
     assert cyclotomic._reduce_mod_phi(v, N) == expected
 
 
@@ -516,32 +516,37 @@ K = cyclotomic._KRONECKER_MIN
 CUTOFF_SIZES = st.one_of(st.integers(0, 30), st.sampled_from((K - 1, K, K + 1)))
 
 
+def _terms(draw, N, n, spread):
+    """n (exponent, coefficient) terms, exponents from all of 0..N-1 or,
+    repeated, from the first one or three, and about one coefficient in
+    four zero."""
+    cs = draw(int_vectors(n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [(rng.randrange(min(spread or N, N)), c if rng.random() > 0.25 else 0) for c in cs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from((1, 2, 12, 105, 506)),
-    CUTOFF_SIZES,
-    CUTOFF_SIZES,
-    st.sampled_from((None, 1, 3)),
+    st.integers(0, 4),
     st.data(),
 )
-def test_cyclic_products_match_schoolbook(N, na, nb, spread, data):
-    """_cyclic_mul of a dense vector and a term list, each with up to 30
-    terms or one of _KRONECKER_MIN - 1, _KRONECKER_MIN and
-    _KRONECKER_MIN + 1; the term exponents come from all of 0..N-1 or,
-    repeated, from the first one or three."""
-    a = data.draw(int_vectors(na))
-    b = data.draw(int_vectors(nb))
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    terms = [(rng.randrange(N), c) for c in a]
-    support = [(rng.randrange(min(spread or N, N)), c) for c in b]
+def test_cyclic_products_match_schoolbook(N, count, data):
+    """_cyclic_sum of up to four products of two term lists, each list with
+    up to 30 terms or one of _KRONECKER_MIN - 1, _KRONECKER_MIN and
+    _KRONECKER_MIN + 1, with repeated exponents and zero coefficients on
+    either side, is the literal double sum over every pair of terms."""
+    products = []
+    for _ in range(count):
+        spreads = [data.draw(st.sampled_from((None, 1, 3))) for _ in range(2)]
+        products.append(tuple(_terms(data.draw, N, data.draw(CUTOFF_SIZES), spread) for spread in spreads))
     expected = [0] * N
-    for i, c in terms:
-        for j, e in support:
-            expected[(i + j) % N] += c * e
-    dense_a = [0] * N
-    for i, c in terms:
-        dense_a[i] += c
-    assert cyclotomic._cyclic_mul(dense_a, support, N) == expected
+    for a, b in products:
+        for i, c in a:
+            for j, e in b:
+                expected[(i + j) % N] += c * e
+    # the first factor may be an iterator, read once
+    assert cyclotomic._cyclic_sum([(iter(a), b) for a, b in products], N) == expected
 
 
 def test_cofactor_times_phi_is_x_to_the_n_minus_1():

@@ -120,9 +120,13 @@ def test_float_crosscheck_catches_a_planted_fault(monkeypatch, fault):
                             lambda chi: characters.gauss_sum_float(chi.conjugate()))
     elif fault == "gauss_terms_shifted":
         # chi(k) zeta_f^(k + 1) in place of chi(k) zeta_f^k in the term list
-        support = characters._gauss_support.__wrapped__
-        monkeypatch.setattr(characters._gauss_support, "__wrapped__", lambda chi, L: tuple(sorted(
-            ((i + L // chi.modulus) % L, c) for i, c in support(chi, L))))
+        gauss_terms = characters._gauss_terms
+
+        def shifted(chi):
+            J, terms = gauss_terms(chi)
+            return J, tuple(sorted(((i + J // chi.modulus) % J, c) for i, c in terms))
+
+        monkeypatch.setattr(characters, "_gauss_terms", shifted)
     else:
         # every element evaluated at the conjugate root exp(-2 pi i/N)
         evaluate = CycElem.complex_eval
