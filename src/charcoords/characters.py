@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .arith import divisors, euler_phi, prime_factors, units
+from .arith import euler_phi, prime_factors, units
 from .cyclotomic import CycElem
 from .memo import memo
 
@@ -37,6 +37,7 @@ class CrtComponent(NamedTuple):
     generator: int        # residue mod prime_power
     order: int
     generator_mod_n: int  # CRT lift: generator mod prime_power, 1 elsewhere
+    conductor_base: int   # exponent e here gives conductor part c / gcd(e, c)
 
 
 def _smallest_primitive_root(q: int) -> int:
@@ -88,13 +89,13 @@ class CharacterGroup:
                 if a == 1:
                     continue
                 if a == 2:
-                    comps.append(CrtComponent(q, 3, 2, _crt_lift(3, q, modulus)))
+                    comps.append(CrtComponent(q, 3, 2, _crt_lift(3, q, modulus), 4))
                 else:
-                    comps.append(CrtComponent(q, q - 1, 2, _crt_lift(q - 1, q, modulus)))
-                    comps.append(CrtComponent(q, 5, 2 ** (a - 2), _crt_lift(5, q, modulus)))
+                    comps.append(CrtComponent(q, q - 1, 2, _crt_lift(q - 1, q, modulus), 4))
+                    comps.append(CrtComponent(q, 5, 2 ** (a - 2), _crt_lift(5, q, modulus), q))
             else:
                 g = _smallest_primitive_root(q)
-                comps.append(CrtComponent(q, g, euler_phi(q), _crt_lift(g, q, modulus)))
+                comps.append(CrtComponent(q, g, euler_phi(q), _crt_lift(g, q, modulus), q))
         self.components = tuple(comps)
         table: dict[int, tuple[int, ...]] = {}
         for exps in itertools.product(*(range(c.order) for c in self.components)):
@@ -205,18 +206,24 @@ class DirichletCharacter:
         """The complex-conjugate character chi^-1."""
         return self.power(-1)
 
-    @memo
     def conductor(self) -> int:
-        """Smallest f | n with chi trivial on units congruent to 1 mod f."""
-        n = self.modulus
-        return next(
-            f for f in divisors(n)
-            if all(
-                self.value_exponent(k) == 0
-                for k in range(1, n, f)
-                if math.gcd(k, n) == 1
-            )
-        )
+        """Smallest f | n with chi trivial on units congruent to 1 mod f.
+
+        Read off the exponent vector, one CRT generator at a time, with no
+        scan of residues: exponent e on a generator of conductor_base c
+        gives c / gcd(e, c), and f is the lcm of these parts.
+
+        * Odd p^a, c = p^a: the units = 1 mod p^j (j >= 1) are generated by
+          g^phi(p^j), on which chi is trivial iff p^(a-j) | e.  So the part
+          is p^(a - v_p(e)), with v_p(e) <= a - 1 as e < p^a, and 1 for e = 0.
+        * 2^a: the units = 1 mod 4 are the powers of 5, and for j >= 3 the
+          units = 1 mod 2^j are those of 5^(2^(j-2)).  So the generator 5
+          (a >= 3, c = 2^a) gives 2^(a - v_2(e)), at least 8, and the
+          order-2 generator (3 mod 4, or -1 mod 2^a; c = 4) gives 4.  The
+          2-part is the larger of the two, their lcm.
+        """
+        return math.lcm(*(c.conductor_base // math.gcd(e, c.conductor_base)
+                          for c, e in zip(self.group.components, self.exponents)))
 
     @memo
     def primitive_part(self) -> "DirichletCharacter":

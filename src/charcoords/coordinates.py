@@ -405,9 +405,15 @@ def reconstruct(coords: Mapping[DirichletCharacter, CycElem], n: int) -> CycElem
 
 
 @memo
-def _icot_doubles(n: int) -> dict[int, complex]:
-    """1j / tan(pi k/n) as a double, for every unit k mod n."""
-    return {k: 1j / math.tan(math.pi * k / n) for k in units(n)}
+def _icot_power_doubles(n: int, r: int) -> tuple[complex, ...]:
+    """(1j / tan(pi k/n)) ** r as a double, for every unit k mod n, ascending.
+
+    Row 1 holds the doubles themselves; row r raises those same doubles to
+    the power r.  A power past the double range raises OverflowError.
+    """
+    if r == 1:
+        return tuple(1j / math.tan(math.pi * k / n) for k in units(n))
+    return tuple(d ** r for d in _icot_power_doubles(n, 1))
 
 
 @memo
@@ -416,24 +422,26 @@ def _root_doubles(m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * e / m) for e in range(m))
 
 
+def _unit_root_doubles(chi: DirichletCharacter) -> list[complex]:
+    """chi(k) = zeta_m^e(k) as a double, for every unit k mod n, ascending."""
+    roots = _root_doubles(chi.order)
+    return [roots[e] for _, e in chi.unit_values()]
+
+
 def direct_sum_float(chi: DirichletCharacter, r: int,
-                     values: Optional[list[tuple[int, int]]] = None) -> complex:
+                     roots: Optional[Sequence[complex]] = None) -> complex:
     """Double-precision evaluation of sum over units k of chi(k) * (i cot(pi k/n))^r.
 
     This is the floating side of the cross-check suite; it never feeds the
-    exact paths.  It reads i cot(pi k/n) and zeta_m^e from per-n and per-m
-    tables of the same doubles it would compute term by term, so no value
-    changes.  values is chi.unit_values(), for a caller that already holds
-    it.
+    exact paths.  It is one product of two vectors over the units k mod n,
+    ascending: roots, chi(k) as doubles (_unit_root_doubles(chi), for a
+    caller that already holds it), against the cached row of
+    (i cot(pi k/n))^r.  The terms, their order and the 0j start are those
+    of the term-by-term loop, so no value changes.
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    if values is None:
-        values = chi.unit_values()
-    icot = _icot_doubles(chi.modulus)
-    roots = _root_doubles(chi.order)
-    # chi(k) = zeta_m^e on the units, the only k summed; it is zero elsewhere
-    total = 0j
-    for k, e in values:
-        total += roots[e] * icot[k] ** r
-    return total
+    if roots is None:
+        roots = _unit_root_doubles(chi)
+    # chi(k) is zero off the units, the only k summed
+    return sum(map(operator.mul, roots, _icot_power_doubles(chi.modulus, r)), 0j)

@@ -7,8 +7,8 @@ import threading
 from functools import lru_cache
 
 # The largest memo holds 1,662 keys on the exact suites and on a default
-# verify run (coord_cotangent_closed) and 774 on float_crosscheck
-# (DirichletCharacter.conductor); the suites' definitional coordinates come
+# verify run (coord_cotangent_closed) and 773 on float_crosscheck
+# (DirichletCharacter.primitive_part); the suites' definitional coordinates come
 # from coords_definitional_many and are not memoized, but the traces of
 # their elements are (_traces, 407 keys after a default verify run): none is
 # evicted at the default ranges, and a long-lived process stays capped.

@@ -18,8 +18,9 @@ point; the float suite checks only complex_eval, never the exact paths: it
 compares a direct double-precision sum with the product of two doubles,
 the coordinate evaluated in its field and the Gauss sum summed from its
 phi(f) terms.  It sums tau(chi_f) once per primitive character in a run,
-not once per character, modulus or exponent, and its direct sums read
-per-n and per-m tables of doubles, which changes no value.
+not once per character, modulus or exponent, and each direct sum is one
+product of a character's root vector, built once per modulus, with a
+cached row of cotangent powers, which changes no value.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -41,7 +42,13 @@ from .combinatorics import (
     coeff_bridge,
     cot_power_coeff,
 )
-from .coordinates import METHODS, coords_definitional_many, direct_sum_float, reconstruct
+from .coordinates import (
+    METHODS,
+    _unit_root_doubles,
+    coords_definitional_many,
+    direct_sum_float,
+    reconstruct,
+)
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem
 from .series import (
@@ -232,10 +239,12 @@ def suite_float_crosscheck(config: SuiteConfig):
     defining identities) to an independent double-precision computation;
     it never adjudicates the exact paths.  tau(chi_f) is summed once per
     primitive character in a run, kept in a dict local to the run and
-    shared by every modulus and r, and direct_sum_float reads its
-    cotangent and root-of-unity doubles from per-n and per-m tables, so
-    every value is the one the per-case computation gives.  A case past
-    the double range raises ValueError.
+    shared by every modulus and r.  Each character's values chi(k) as
+    doubles are built once per modulus and handed to direct_sum_float for
+    every r, which multiplies them by the cached row of (i cot(pi k/n))^r
+    and adds the terms in the order of the per-case loop, so every value
+    is the one the per-case computation gives.  A case past the double
+    range raises ValueError.
     """
     tol = config.float_tolerance
     tau_of = {}  # chi_f -> tau(chi_f) as a double
@@ -246,13 +255,13 @@ def suite_float_crosscheck(config: SuiteConfig):
         for chif in parts:
             if chif not in tau_of:
                 tau_of[chif] = gauss_sum_float(chif)
-        values = [chi.unit_values() for chi in chars]
+        roots = [_unit_root_doubles(chi) for chi in chars]
         powers = range(1, config.float_r_max + 1)
         coords = coords_definitional_many(n, [icot_power(r, n) for r in powers])
         for r, ys in zip(powers, coords):
             for idx, chi in enumerate(chars):
                 try:
-                    left = direct_sum_float(chi, r, values=values[idx])
+                    left = direct_sum_float(chi, r, roots[idx])
                     right = ys[conjugates[idx]].complex_eval() * tau_of[parts[idx]]
                     err = abs(left - right)
                 except OverflowError:

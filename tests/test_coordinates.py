@@ -363,19 +363,28 @@ def test_direct_sum_float():
 
 
 def test_direct_sum_float_is_the_literal_double_sum():
-    # the tabled doubles must give the per-term sum bit for bit: same doubles,
-    # same ** r, same k-ascending order of additions
+    """The product against the cached power row must give the term-by-term
+    loop bit for bit: the same doubles, the same ** r, the same ascending
+    units, accumulated from 0j.  It pins sum()'s left-to-right order of
+    complex additions, so a Python whose sum() compensates complex terms
+    fails here."""
     def bits(z):
         return z.real.hex(), z.imag.hex()
 
-    for n in range(2, 31):
+    values = 0
+    for n in range(2, 81):
+        icot = {k: 1j / math.tan(math.pi * k / n) for k in units(n)}
         for chi in enumerate_characters(n):
             m = chi.order
+            roots = [cmath.exp(2j * math.pi * e / m) for e in range(m)]
+            pairs = chi.unit_values()
             for r in range(1, 11):
                 total = 0j
-                for k, e in chi.unit_values():
-                    total += cmath.exp(2j * math.pi * e / m) * (1j / math.tan(math.pi * k / n)) ** r
+                for k, e in pairs:
+                    total += roots[e] * icot[k] ** r
                 assert bits(direct_sum_float(chi, r)) == bits(total), (n, chi.index, r)
+                values += 1
+    assert values == 19650
 
 
 def test_direct_sum_float_high_precision():
