@@ -4,7 +4,8 @@ closed-form identities relating them to generalized Bernoulli numbers.
 
 The names of charcoords.series and charcoords.verify (and those two
 modules) are imported on first access, not with the package, so that a
-CLI command that runs no verify suite loads neither."""
+CLI command that runs no verify suite loads neither; verify itself
+imports series only when its series_oracle suite runs."""
 
 __version__ = "0.1.0"
 

@@ -22,12 +22,13 @@ positional after an option or an unknown argument, which it reports.
 Importing this module and building its parser loads the package's
 arith, memo, cyclotomic, characters, bernoulli, combinatorics, cotangent
 and coordinates modules (charcoords/__init__.py imports them) and no
-dataclasses.  charcoords.verify, and with it charcoords.series, which
-only verify uses, load on first use: the three commands that run suites
-(verify, coeffs check, series verify) import verify.  main reports
-TruncationError and InternalError (FieldMembershipError is one) as
-internal errors, exit code 3; both are defined in charcoords.arith, so
-catching them loads neither module.
+dataclasses.  charcoords.verify loads on first use: the three commands
+that run suites (verify, coeffs check, series verify) import it.
+charcoords.series, which only the series_oracle suite uses, loads when
+that suite runs, so coeffs check and a verify run without it never load
+it.  main reports TruncationError and InternalError (FieldMembershipError
+is one) as internal errors, exit code 3; both are defined in
+charcoords.arith, so catching them loads neither module.
 """
 
 from __future__ import annotations
@@ -265,8 +266,9 @@ def _cmd_verify(args) -> int:
 
 def _verify(args, overrides: dict) -> int:
     """Run the suites of config_with_overrides(**overrides) and print the
-    one suite report, as text or as JSON; exit code 0 or 1.  The config echo
-    names each suite that ran, once, in run order."""
+    one suite report, as text or as JSON; exit code 0 or 1.  The JSON config
+    echoes every SuiteConfig field, so it replays the run, with suites
+    naming each suite that ran, once, in run order."""
     from .verify import config_with_overrides, run_suites
 
     cfg = config_with_overrides(**overrides)
@@ -274,9 +276,7 @@ def _verify(args, overrides: dict) -> int:
     total_failures = sum(len(r.failures) for r in results)
     if getattr(args, "format", "text") == "json":
         report = {
-            "config": {"n_max": cfg.n_max, "r_max": cfg.r_max, "j_max": cfg.j_max,
-                       "float_tolerance": cfg.float_tolerance,
-                       "suites": [r.name for r in results]},
+            "config": {**cfg._asdict(), "suites": [r.name for r in results]},
             "suites": [r.to_json_dict() for r in results],
             "passed": total_failures == 0,
             "version": __version__,

@@ -20,7 +20,9 @@ the coordinate evaluated in its field and the Gauss sum summed from its
 phi(f) terms.  It sums tau(chi_f) once per primitive character in a run,
 not once per character, modulus or exponent, and each direct sum is one
 product of a character's root vector, built once per modulus, with a
-cached row of cotangent powers, which changes no value.
+cached row of cotangent powers, which changes no value.  charcoords.series
+is imported by the series_oracle suite when it runs, not with this module,
+so a run without that suite never loads it.
 
 Suites are deterministic for a given config, and every failure record
 carries the inputs needed to reproduce it from the CLI.
@@ -51,13 +53,6 @@ from .coordinates import (
 )
 from .cotangent import cotangent_number, icot_power
 from .cyclotomic import CycElem
-from .series import (
-    _decomposition_sides,
-    _stirling_sides,
-    bernoulli_conv_coeff_from_series,
-    verify_power_decomposition,
-    verify_stirling_identity,
-)
 
 SUITE_NAMES = (
     "power_closed_form",
@@ -74,7 +69,7 @@ class SuiteConfig(NamedTuple):
     """Ranges and tolerances for the verification suites.
 
     Defaults reproduce the full published sweep; every field can be
-    overridden from the CLI.
+    overridden from the CLI, and the JSON report of verify echoes them all.
     """
 
     n_max: int = 30
@@ -85,12 +80,9 @@ class SuiteConfig(NamedTuple):
     bridge_r_max: int = 20
     eq_primitive_n_max: int = 23
     eq_primitive_r_max: int = 5
-    eq_primitive_extra_moduli: tuple[int, ...] = (4,)
     float_n_max: int = 50
     float_r_max: int = 4
     recon_n_max: int = 20
-    recon_r_max: int = 4
-    recon_j_max: int = 4
     decomposition_r_max: int = 12
     stirling_k_max: int = 10
     d_oracle_r_max: int = 10
@@ -217,14 +209,18 @@ def suite_coeff_bridge(config: SuiteConfig):
                 yield {"r": r, "j": j}, cot_power_coeff(r, j), coeff_bridge(r, j), None
 
 
+# the prime moduli give no even conductor; 4 adds the odd primitive character mod 4
+_PRIMITIVE_EXTRA_MODULUS = 4
+
+
 @_recorded
 def suite_primitive_closed_form(config: SuiteConfig):
     """Bernoulli-convolution closed form vs definitional coordinate for
-    primitive characters: prime moduli <= eq_primitive_n_max plus the extra
-    moduli (4 by default), r <= eq_primitive_r_max."""
+    primitive characters: prime moduli <= eq_primitive_n_max and the
+    modulus 4, r <= eq_primitive_r_max."""
     primes = {n for n in range(2, config.eq_primitive_n_max + 1) if is_prime(n)}
     yield from _closed_vs_definitional(
-        sorted(primes | set(config.eq_primitive_extra_moduli)),
+        sorted(primes | {_PRIMITIVE_EXTRA_MODULUS}),
         range(1, config.eq_primitive_r_max + 1), "prim")
 
 
@@ -275,36 +271,30 @@ def suite_float_crosscheck(config: SuiteConfig):
 
 @_recorded
 def suite_reconstruction(config: SuiteConfig):
-    """Round trip a -> coordinates -> a for 1, i*cot, its powers, and
-    cotangent numbers, over n <= recon_n_max.  1 enters as the image of
-    the rational 1 under Q -> Q(zeta_n), and i*cot as the field quotient
-    (1 + zeta_n)/(1 - zeta_n) of that 1, not as icot_value's integer sum,
-    so the sweep also runs CycElem.embed, CycElem.inverse and the field
-    difference."""
+    """Round trip a -> coordinates -> a for 1, i*cot, (i*cot)^r for
+    2 <= r <= 4 and the cotangent numbers for j <= 4, over n <= recon_n_max.
+    1 enters as the image of the rational 1 under Q -> Q(zeta_n), and i*cot
+    as the field quotient (1 + zeta_n)/(1 - zeta_n) of that 1, not as
+    icot_value's integer sum, so the sweep also runs CycElem.embed,
+    CycElem.inverse and the field difference."""
     for n in range(2, config.recon_n_max + 1):
         z, one = CycElem.zeta(n), CycElem.one().embed(n)
         elements = [("one", one), ("icot", (one + z) / (one - z))]
-        elements += [
-            ("icot_power_%d" % r, icot_power(r, n))
-            for r in range(2, config.recon_r_max + 1)
-        ]
-        elements += [
-            ("cotangent_number_%d" % j, cotangent_number(j, n))
-            for j in range(1, config.recon_j_max + 1)
-        ]
+        elements += [("icot_power_%d" % r, icot_power(r, n)) for r in range(2, 5)]
+        elements += [("cotangent_number_%d" % j, cotangent_number(j, n)) for j in range(1, 5)]
         coords = coords_definitional_many(n, [a for _, a in elements])
         for (label, a), ys in zip(elements, coords):
             yield {"n": n, "element": label}, reconstruct(ys, n), a, None
 
 
-def _series_case(inputs: dict, holds: bool, sides: Callable, degree: int, M: int) -> tuple:
-    """The case of a series identity checked through t^M.  A failure
-    rebuilds the two sides, sides(degree, M), and carries "[t^e] value" of
-    each for the first exponent e at which they differ."""
-    if holds:
+def _series_case(inputs: dict, lhs, rhs, M: int) -> tuple:
+    """The case of a series identity whose two sides are the Laurent series
+    lhs and rhs, checked through t^M.  A failure carries "[t^e] value" of
+    each side for the first exponent e at which they differ."""
+    difference = lhs._first_difference(rhs, M)
+    if difference is None:
         return inputs, True, True, None
-    lhs, rhs = sides(degree, M)
-    e, a, b = lhs._first_difference(rhs, M)
+    e, a, b = difference
     return inputs, "[t^%d] %s" % (e, a), "[t^%d] %s" % (e, b), False
 
 
@@ -312,15 +302,19 @@ def _series_case(inputs: dict, holds: bool, sides: Callable, degree: int, M: int
 def suite_series_oracle(config: SuiteConfig):
     """Series-level checks: the Stirling derivative identity, the
     cotangent-power decomposition, and both independent oracles for the
-    Bernoulli-convolution coefficients."""
+    Bernoulli-convolution coefficients.  The two sides of each identity
+    are built once, and charcoords.series is imported here, when the suite
+    runs."""
+    from . import series
+
     for k in range(1, config.stirling_k_max + 1):
         M = 2 * k + 4
         yield _series_case({"identity": "stirling", "k": k, "order": M},
-                           verify_stirling_identity(k, M), _stirling_sides, k, M)
+                           *series._stirling_sides(k, M), M)
     for r in range(1, config.decomposition_r_max + 1):
         M = 2 * r + 4
         yield _series_case({"identity": "power_decomposition", "r": r, "order": M},
-                           verify_power_decomposition(r, M), _decomposition_sides, r, M)
+                           *series._decomposition_sides(r, M), M)
     for r in range(1, config.d_oracle_r_max + 1):
         for j in range(1, r + 1):
             yield ({"identity": "conv_vs_bruteforce", "r": r, "j": j},
@@ -329,7 +323,7 @@ def suite_series_oracle(config: SuiteConfig):
         for j in range(1, r + 1):
             if (r - j) % 2 == 0:
                 yield ({"identity": "conv_vs_series", "r": r, "j": j},
-                       bernoulli_conv_coeff(r, j), bernoulli_conv_coeff_from_series(r, j),
+                       bernoulli_conv_coeff(r, j), series.bernoulli_conv_coeff_from_series(r, j),
                        None)
 
 
@@ -359,35 +353,28 @@ def config_with_overrides(base: SuiteConfig | None = None, **overrides) -> Suite
     for key, value in overrides.items():
         if key not in defaults:
             raise ValueError("unknown config key %r" % key)
-        if isinstance(value, str):
-            # by the type of the default: int, float, or a comma-separated
-            # tuple of the type of its first element (no tuple default is empty)
-            default = defaults[key]
+        if key == "suites" and isinstance(value, str):
+            # the one tuple field: comma-separated suite names
+            value = tuple(p.strip() for p in value.split(",") if p.strip())
+        elif isinstance(value, str):
+            # by the type of the default: int or float
             try:
-                if isinstance(default, tuple):
-                    item = type(default[0])
-                    value = tuple(item(p.strip()) for p in value.split(",") if p.strip())
-                else:
-                    value = type(default)(value)
+                value = type(defaults[key])(value)
             except ValueError as exc:
                 raise ValueError("%s: %s" % (key, exc)) from None
         coerced[key] = value
     cfg = (base or SuiteConfig())._replace(**coerced)
     # a tolerance of inf, nan or <= 0 makes every float case pass or fail,
     # and a negative range or an empty suite list checks nothing, whatever
-    # the code computes; a modulus below 2 has no characters to sweep
+    # the code computes
     tol = cfg.float_tolerance
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("float_tolerance must be finite and positive, got %r" % tol)
     if not cfg.suites:
         raise ValueError("suites must name at least one suite")
     for name, value in zip(SuiteConfig._fields, cfg):
-        for v in value if isinstance(value, tuple) else (value,):
-            if type(v) is int and v < 0:
-                raise ValueError("%s must not be negative, got %d" % (name, v))
-    if any(n < 2 for n in cfg.eq_primitive_extra_moduli):
-        raise ValueError("eq_primitive_extra_moduli must hold moduli >= 2, got %s"
-                         % ",".join(map(str, cfg.eq_primitive_extra_moduli)))
+        if type(value) is int and value < 0:
+            raise ValueError("%s must not be negative, got %d" % (name, value))
     if cfg.d_oracle_r_max > BRUTEFORCE_LIMIT:
         raise ValueError("d_oracle_r_max must be at most %d (the bruteforce oracle's"
                          " limit), got %d" % (BRUTEFORCE_LIMIT, cfg.d_oracle_r_max))

@@ -725,8 +725,8 @@ def test_json_rejects_unknown_types():
         ("coeff_bridge", "--tol", "-1"),
         ("coeff_bridge", "--n-max", "-1"),
         ("--set", "suites="),
-        ("primitive_closed_form", "--set", "eq_primitive_extra_moduli=-4"),
-        ("primitive_closed_form", "--set", "eq_primitive_extra_moduli=x"),
+        ("--set", "suites=,"),
+        ("--set", "suites=coeff_bridge,x"),
         # ranges that leave a suite with no case at all
         ("power_closed_form", "--n-max", "1"),
         ("power_closed_form", "--r-max", "0"),
@@ -748,8 +748,8 @@ def test_verify_rejects_checks_that_cannot_fail(capsys, flags):
     [
         ("n_max", "x"),
         ("float_tolerance", "abc"),
-        ("eq_primitive_extra_moduli", "4,x"),
-        ("eq_primitive_extra_moduli", "1"),
+        ("suites", ","),
+        ("eq_primitive_n_max", "-1"),
         ("d_oracle_r_max", "13"),
     ],
 )
@@ -760,6 +760,14 @@ def test_verify_config_errors_name_the_key(capsys, key, value):
     assert out == ""
     assert err.startswith("error: ")
     assert key in err
+
+
+@pytest.mark.parametrize("key", ["eq_primitive_extra_moduli", "recon_r_max", "recon_j_max"])
+def test_verify_refuses_the_removed_config_keys(capsys, key):
+    # the primitive sweep's modulus 4 and the reconstruction's r, j <= 4 are fixed
+    code, out, err = run_cli(capsys, "verify", "--set", "%s=4" % key)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown config key %r\n" % key
 
 
 def test_float_crosscheck_past_the_double_range_is_a_usage_error(capsys):
@@ -788,6 +796,47 @@ def test_verify_default_report_matches_golden(capsys):
     # default ranges: pins the config echo and the seven case counts
     # (1836, 1836, 110, 415, 3092, 171, 97)
     _check_default_report(capsys)
+
+
+def test_verify_json_config_replays_the_run(capsys, monkeypatch):
+    # the report echoes every SuiteConfig field, so its config alone rebuilds the
+    # config that ran, and its values as --set flags print the same report
+    ran = []
+    run_suites = verify.run_suites
+    monkeypatch.setattr(verify, "run_suites", lambda cfg: ran.append(cfg) or run_suites(cfg))
+    code, out, err = run_cli(capsys, "verify", "float_crosscheck", "reconstruction",
+                             "--set", "float_n_max=9", "--set", "recon_n_max=5",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    config = json.loads(out)["config"]
+    assert len(verify.SuiteConfig._fields) == 15
+    assert sorted(config) == sorted(verify.SuiteConfig._fields)
+    assert config == {**verify.SuiteConfig()._asdict(), "float_n_max": 9, "recon_n_max": 5,
+                      "suites": ["float_crosscheck", "reconstruction"]}
+    (cfg,) = ran
+    assert verify.config_with_overrides(**{**config, "suites": tuple(config["suites"])}) == cfg
+    flags = [word for key, value in config.items() for word in (
+        "--set", "%s=%s" % (key, ",".join(value) if key == "suites" else value))]
+    code, again, err = run_cli(capsys, "verify", *flags, "--format", "json")
+    assert (code, err) == (0, "")
+    assert _without_seconds(again) == _without_seconds(out)
+    assert ran[1] == cfg
+
+
+def test_verify_loads_series_only_for_the_series_oracle():
+    # charcoords.series is imported when the series_oracle suite runs, not with verify
+    code = """if True:
+        import contextlib, io, sys
+        from charcoords.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(sys.argv[1:])
+        print(code, "charcoords.verify" in sys.modules, "charcoords.series" in sys.modules)
+    """
+    for argv, loaded in (("verify float_crosscheck", "False"), ("verify series_oracle", "True")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv.split()], capture_output=True,
+                              text=True, env=_src_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "0 True %s\n" % loaded, argv
 
 
 def test_verify_report_ignores_the_environment(tmp_path, capsys, monkeypatch):

@@ -30,8 +30,6 @@ MINI = SuiteConfig(
     float_n_max=8,
     float_r_max=2,
     recon_n_max=6,
-    recon_r_max=3,
-    recon_j_max=3,
     eq_primitive_n_max=7,
     eq_primitive_r_max=3,
     bridge_r_max=8,
@@ -75,7 +73,8 @@ def test_config_overrides_coerce_strings():
     assert cfg.n_max == 12
     assert cfg.float_tolerance == 1e-6
     assert cfg.suites == ("coeff_bridge", "series_oracle")
-    assert config_with_overrides(eq_primitive_extra_moduli=" 4 , 9 ").eq_primitive_extra_moduli == (4, 9)
+    assert config_with_overrides(suites=" coeff_bridge , ,reconstruction ").suites == (
+        "coeff_bridge", "reconstruction")
     with pytest.raises(ValueError, match="n_max: invalid literal for int"):
         config_with_overrides(n_max="1.5")
     with pytest.raises(ValueError):
@@ -96,12 +95,13 @@ def test_config_overrides_coerce_strings():
         {"float_tolerance": 0.0},
         {"float_tolerance": "-1"},
         {"n_max": -1},
-        {"recon_r_max": "-1"},
+        {"recon_n_max": "-1"},
+        {"eq_primitive_n_max": -2},
         {"suites": ""},
         {"suites": ()},
-        {"eq_primitive_extra_moduli": "4,-5"},
-        {"eq_primitive_extra_moduli": "1"},
-        {"eq_primitive_extra_moduli": (4, 0)},
+        {"suites": " , "},
+        {"recon_r_max": "4"},  # no longer a field
+        {"eq_primitive_extra_moduli": "4"},
     ],
 )
 def test_config_rejects_checks_that_cannot_fail(override):
@@ -182,6 +182,37 @@ def test_series_oracle_catches_a_planted_fault(monkeypatch, module, name, at, de
             assert (f.lhs, f.rhs) == first_difference[f.inputs["identity"]]
         else:
             assert f.lhs != f.rhs
+
+
+def test_series_oracle_builds_the_sides_of_each_identity_once(monkeypatch):
+    """With row 4 of 1/w, w = (e^t - 1)/t, flipped, every identity of the
+    suite but k = 1 and r = 1 fails; each case builds its two sides once,
+    failed or not, and records the first coefficient at which they differ.
+    Each build of the sides grows 1/(1 - e^t) once: through t^(M + k + 2)
+    for the Stirling identity, through t^(M + r + 3) for the decomposition."""
+    row = series._exp_quotient_inverse
+    monkeypatch.setattr(series, "_exp_quotient_inverse", lambda k: -row(k) if k == 4 else row(k))
+    grown = []
+    one_minus_exp_inv = series.series_one_minus_exp_inv
+    monkeypatch.setattr(series, "series_one_minus_exp_inv",
+                        lambda M: grown.append(M) or one_minus_exp_inv(M))
+    cfg = config_with_overrides(suites=("series_oracle",), stirling_k_max=4,
+                                decomposition_r_max=4, d_oracle_r_max=0, d_series_r_max=0)
+    (result,) = run_suites(cfg)
+    assert result.cases == 8
+    stirling = [(2 * k + 4) + k + 2 for k in range(1, 5)]
+    decomposition = [(2 * r + 4) + r + 3 for r in range(1, 5)]
+    # run_suites draws the suite's first case, k = 1, once before the run
+    assert sorted(grown) == sorted([stirling[0]] + stirling + decomposition)
+    assert [(f.inputs, f.lhs, f.rhs) for f in result.failures] == [
+        ({"identity": "stirling", "k": 2, "order": 8}, "[t^2] 7/720", "[t^2] -1/240"),
+        ({"identity": "stirling", "k": 3, "order": 10}, "[t^2] 7/480", "[t^2] -1/160"),
+        ({"identity": "stirling", "k": 4, "order": 12}, "[t^0] 259/720", "[t^0] 83/240"),
+        ({"identity": "power_decomposition", "r": 2, "order": 8}, "[t^2] 7/180", "[t^2] -1/60"),
+        ({"identity": "power_decomposition", "r": 3, "order": 10},
+         "[t^3] -83/7560", "[t^3] -41/7560"),
+        ({"identity": "power_decomposition", "r": 4, "order": 12}, "[t^0] 34/45", "[t^0] 8/15"),
+    ]
 
 
 def test_closed_forms_catch_a_flipped_euler_term(monkeypatch):
@@ -278,13 +309,17 @@ def test_a_planted_closed_form_fault_reaches_the_suite_and_the_cli(monkeypatch, 
     assert CycElem.from_json_dict(row["value"]) == planted(target, r)
 
 
-def test_repeated_extra_moduli_are_checked_once():
-    def cases(extra):
-        cfg = config_with_overrides(suites=("primitive_closed_form",), eq_primitive_n_max=3,
-                                    eq_primitive_extra_moduli=extra)
-        return run_suites(cfg)[0].cases
+def test_primitive_closed_form_sweeps_the_primes_and_the_modulus_4():
+    """The odd primes up to eq_primitive_n_max give cases (2 has no
+    primitive character), and the modulus 4 adds its odd primitive
+    character at every range."""
+    def moduli(n_max):
+        cfg = config_with_overrides(suites=("primitive_closed_form",), eq_primitive_n_max=n_max)
+        return sorted({inputs["n"] for inputs, *_ in verify._CASES["primitive_closed_form"](cfg)})
 
-    assert cases("5,5") == cases("5") == cases("5,3,5")
+    assert moduli(0) == moduli(2) == [4]
+    assert moduli(4) == [3, 4]
+    assert moduli(23) == [3, 4, 5, 7, 11, 13, 17, 19, 23]
     (default,) = run_suites(config_with_overrides(suites=("primitive_closed_form",)))
     assert default.cases == 415
 
@@ -316,8 +351,7 @@ _DEFAULT_CONFIG_REPR = (
     "SuiteConfig(n_max=30, r_max=6, j_max=6, float_tolerance=1e-08, suites=("
     "'power_closed_form', 'cotnum_closed_form', 'coeff_bridge', 'primitive_closed_form', "
     "'float_crosscheck', 'reconstruction', 'series_oracle'), bridge_r_max=20, "
-    "eq_primitive_n_max=23, eq_primitive_r_max=5, eq_primitive_extra_moduli=(4,), "
-    "float_n_max=50, float_r_max=4, recon_n_max=20, recon_r_max=4, recon_j_max=4, "
+    "eq_primitive_n_max=23, eq_primitive_r_max=5, float_n_max=50, float_r_max=4, recon_n_max=20, "
     "decomposition_r_max=12, stirling_k_max=10, d_oracle_r_max=10, d_series_r_max=8)"
 )
 
@@ -422,8 +456,8 @@ _COVERED_OPS = [
     coordinates.direct_sum_float,
     series.series_one_minus_exp_inv,
     series.series_icot_half,
-    series.verify_stirling_identity,
-    series.verify_power_decomposition,
+    series._stirling_sides,
+    series._decomposition_sides,
 ]
 
 
