@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .arith import euler_phi, prime_factors, units
+from .arith import InternalError, euler_phi, prime_factors, units
 from .cyclotomic import CycElem
 from .memo import memo
 
@@ -49,7 +49,7 @@ def _smallest_primitive_root(q: int) -> int:
             continue
         if all(pow(g, phi // p, q) != 1 for p in targets):
             return g
-    raise ArithmeticError("no primitive root mod %d" % q)
+    raise InternalError("no primitive root mod %d" % q)
 
 
 def _crt_lift(g: int, q: int, n: int) -> int:
@@ -104,7 +104,7 @@ class CharacterGroup:
                 u = (u * pow(comp.generator_mod_n, e, modulus)) % modulus
             table[u] = exps
         if len(table) != self.phi:
-            raise ArithmeticError("generators do not generate (Z/%d)*" % modulus)
+            raise InternalError("generators do not generate (Z/%d)*" % modulus)
         self.log_table = table
         ks = units(modulus)
         self.unit_columns = (ks, tuple(zip(*(table[k % modulus] for k in ks))))
@@ -154,7 +154,7 @@ class DirichletCharacter:
         self._hash = hash((group.modulus, self.exponents))
         e = self.value_exponent(group.modulus - 1)
         if e and 2 * e != m:
-            raise ArithmeticError("chi(-1) is not +-1")
+            raise InternalError("chi(-1) is not +-1")
         self._parity = -1 if e else 1
 
     @property
@@ -239,7 +239,7 @@ class DirichletCharacter:
             )
             e = self.value_exponent(k)
             if (e * comp.order) % self.order:
-                raise ArithmeticError("incompatible component order")
+                raise InternalError("incompatible component order")
             exps.append((e * comp.order // self.order) % comp.order)
         return gf.character(tuple(exps))
 

@@ -26,9 +26,11 @@ dataclasses.  charcoords.verify loads on first use: the three commands
 that run suites (verify, coeffs check, series verify) import it.
 charcoords.series, which only the series_oracle suite uses, loads when
 that suite runs, so coeffs check and a verify run without it never load
-it.  main reports TruncationError and InternalError (FieldMembershipError
-is one) as internal errors, exit code 3; both are defined in
-charcoords.arith, so catching them loads neither module.
+it.  main reports TruncationError and InternalError as internal errors,
+exit code 3: every internal consistency check of the package raises one
+of them (FieldMembershipError is an InternalError), never a bare
+ArithmeticError.  Both are defined in charcoords.arith, so catching them
+loads neither module.
 """
 
 from __future__ import annotations

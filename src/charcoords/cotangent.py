@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import _schoolbook_mul
+from .arith import InternalError, _schoolbook_mul
 from .cyclotomic import CycElem, _combination
 from .memo import memo, recurrence
 
@@ -83,7 +83,7 @@ def cotangent_number(j: int, n: int) -> CycElem:
     for m, c in enumerate(cot_derivative_poly(j - 1)):
         if c:
             if (j - m) % 2:
-                raise ArithmeticError("parity violation in cotangent polynomial")
+                raise InternalError("parity violation in cotangent polynomial")
             y = CycElem.one(n) if m == 0 else icot_power(m, n)
             pairs.append((y, c * (-1) ** ((j - m) // 2)))
     return _combination(n, pairs)

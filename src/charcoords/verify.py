@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from .arith import is_prime
@@ -274,12 +275,14 @@ def suite_reconstruction(config: SuiteConfig):
     """Round trip a -> coordinates -> a for 1, i*cot, (i*cot)^r for
     2 <= r <= 4 and the cotangent numbers for j <= 4, over n <= recon_n_max.
     1 enters as the image of the rational 1 under Q -> Q(zeta_n), and i*cot
-    as the field quotient (1 + zeta_n)/(1 - zeta_n) of that 1, not as
-    icot_value's integer sum, so the sweep also runs CycElem.embed,
-    CycElem.inverse and the field difference."""
+    as -1 - (2/n) sum_{j<n} j zeta_n^j built from that 1 by negation and
+    subtraction, not as icot_value's memoized vector, so the sweep also runs
+    CycElem.embed and the field difference.  No path divides by a
+    cyclotomic number."""
     for n in range(2, config.recon_n_max + 1):
-        z, one = CycElem.zeta(n), CycElem.one().embed(n)
-        elements = [("one", one), ("icot", (one + z) / (one - z))]
+        one = CycElem.one().embed(n)
+        icot = -one - CycElem.from_polynomial(n, range(n)) * Fraction(2, n)
+        elements = [("one", one), ("icot", icot)]
         elements += [("icot_power_%d" % r, icot_power(r, n)) for r in range(2, 5)]
         elements += [("cotangent_number_%d" % j, cotangent_number(j, n)) for j in range(1, 5)]
         coords = coords_definitional_many(n, [a for _, a in elements])

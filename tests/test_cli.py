@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charcoords import cli, coordinates, series, verify
+from charcoords import cli, coordinates, cotangent, series, verify
 from charcoords.arith import InternalError, euler_phi
 from charcoords.characters import enumerate_characters
 from charcoords.cli import main
@@ -576,6 +576,22 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert out == ""
     assert err == "internal error: %s\n" % exc
     assert "Traceback" not in err
+
+
+def test_failed_consistency_check_exits_3(capsys, monkeypatch):
+    # cot_2 = 2y + 2y^3 has only odd powers of y = cot; a planted y^2 term
+    # breaks the parity check of cotangent_number, an internal error
+    def planted(l):
+        p = list(original(l))
+        if l == 2:
+            p[2] += 1
+        return tuple(p)
+
+    original = cotangent.cot_derivative_poly
+    monkeypatch.setattr(cotangent, "cot_derivative_poly", planted)
+    code, out, err = run_cli(capsys, "cot", "7", "--j", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and "Traceback" not in err
 
 
 def test_cli_imports_no_suite_module():

@@ -28,12 +28,12 @@ def test_icot_examples():
 
 
 def test_icot_sum_is_field_quotient():
-    # the integer sum -1 - (2/n) sum_j j zeta^(jk) against the field
-    # division (1 + zeta^k)/(1 - zeta^k), which runs CycElem.inverse
+    # the integer sum -1 - (2/n) sum_j j zeta^(jk) is the quotient
+    # (1 + zeta^k)/(1 - zeta^k): checked as the product (1 - zeta^k) q = 1 + zeta^k
     for n in range(2, 61):
         for k in units(n):
             z = CycElem.zeta(n, k)
-            assert icot_value(n, k) == (1 + z) / (1 - z)
+            assert (1 - z) * icot_value(n, k) == 1 + z
 
 
 def test_icot_numeric():

@@ -11,7 +11,7 @@ from charcoords import cyclotomic
 from charcoords.arith import divisors, euler_phi, units
 from charcoords.characters import enumerate_characters, gauss_sum
 from charcoords.coordinates import coords_definitional_many
-from charcoords.cotangent import icot_power
+from charcoords.cotangent import icot_power, icot_value
 from charcoords.cyclotomic import (
     CycElem,
     FieldMembershipError,
@@ -89,11 +89,13 @@ def test_galois_examples():
     assert z4.galois(3) == -z4
     a = CycElem.from_polynomial(4, [F(1, 2), F(3, 7)])
     assert a.galois(1) == a
-    # sigma_2 of (1+z5)/(1-z5) equals (1+z5^2)/(1-z5^2), built independently
+    # sigma_2 of the quotient q = (1+z5)/(1-z5), the q with (1-z5) q = 1+z5,
+    # is the quotient (1+z5^2)/(1-z5^2): checked as a product
     z5 = CycElem.zeta(5)
-    lhs = ((1 + z5) * (1 - z5).inverse()).galois(2)
+    q = icot_value(5)
+    assert (1 - z5) * q == 1 + z5
     z52 = CycElem.zeta(5, 2)
-    assert lhs == (1 + z52) * (1 - z52).inverse()
+    assert (1 - z52) * q.galois(2) == 1 + z52
     with pytest.raises(ValueError):
         z4.galois(2)
 
@@ -145,8 +147,7 @@ def test_conjugate_examples():
     assert z4.conjugate() == -z4
     r = CycElem.from_rational(F(3, 4), 7)
     assert r.conjugate() == r
-    z5 = CycElem.zeta(5)
-    a = (1 + z5) * (1 - z5).inverse()
+    a = icot_value(5)  # (1 + zeta_5)/(1 - zeta_5)
     assert a.conjugate() == a.galois(4)
     assert a.conjugate().conjugate() == a
     assert CycElem.zeta(2).conjugate() == CycElem.zeta(2)
@@ -156,8 +157,7 @@ def test_conjugate_examples():
 def test_complex_eval():
     assert CycElem.zeta(4).complex_eval() == pytest.approx(1j, abs=1e-15)
     assert CycElem.from_rational(2, 1).complex_eval() == pytest.approx(2.0, abs=0)
-    z8 = CycElem.zeta(8)
-    icot8 = (1 + z8) * (1 - z8).inverse()
+    icot8 = icot_value(8)  # (1 + zeta_8)/(1 - zeta_8)
     assert icot8.complex_eval() == pytest.approx(
         complex(0, 1 + math.sqrt(2)), abs=1e-12
     )
@@ -200,7 +200,20 @@ def test_pow_matches_repeated_mul():
     for e in range(20):
         assert a**e == acc
         acc = acc * a
-    assert a**-2 == (a * a).inverse()
+
+
+def test_division_only_by_a_rational():
+    # no path divides by a cyclotomic number: / takes an int or a Fraction,
+    # and a negative power raises at once instead of inverting
+    a = 1 + CycElem.zeta(7) * F(2, 3)
+    assert a / F(2, 3) == a * F(3, 2)
+    with pytest.raises(TypeError):
+        a / CycElem.zeta(7)
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+    for e in (-1, -2):
+        with pytest.raises(ValueError):
+            a**e
 
 
 def test_json_round_trip():
@@ -415,8 +428,7 @@ def test_storage_is_canonical(pair):
         CycElem.from_polynomial(n, longer),
         CycElem.from_json_dict(a.to_json_dict()),
     ]
-    if not b.is_zero:
-        ways.append((a * b) * b.inverse())
+    ways.append(a * b + a * (1 - b))
     _assert_lowest_terms(a)
     for x in ways:
         _assert_lowest_terms(x)

@@ -423,7 +423,6 @@ _COVERED_OPS = [
     CycElem.__sub__,
     CycElem.__mul__,
     CycElem.__neg__,
-    CycElem.inverse,
     CycElem.galois,
     CycElem.embed,
     CycElem.conjugate,
